@@ -1,7 +1,7 @@
 //! The [`Addr`] type: a 128-bit IPv6 address.
 
 use crate::bits::{high_mask, msb_mask, shl128, shr128};
-use crate::cast::{checked_nybble, checked_seg, checked_u16, checked_u32, checked_u8};
+use crate::cast::{checked_nybble, checked_seg, checked_u32, checked_u8, checked_usize};
 use crate::ParseError;
 use std::fmt;
 use std::net::Ipv6Addr;
@@ -273,136 +273,180 @@ impl From<Addr> for Ipv6Addr {
 impl FromStr for Addr {
     type Err = ParseError;
 
-    /// Parses RFC 4291 presentation format: up to eight hex groups
-    /// separated by `:`, at most one `::` elision, and an optional
-    /// dotted-quad IPv4 tail occupying the final 32 bits.
+    /// Parses RFC 4291 §2.2 presentation format in one left-to-right
+    /// pass; [`ParseError`] documents the grammar and which variant a
+    /// malformed input gets.
     fn from_str(s: &str) -> Result<Addr, ParseError> {
         parse_addr(s)
     }
 }
 
-fn parse_addr(s: &str) -> Result<Addr, ParseError> {
-    if s.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    let b = s.as_bytes();
+/// Marks a byte that is not a hex digit in [`HEX`].
+const NOT_HEX: u8 = 0xff;
 
-    // Locate the elision "::" if present.
-    let mut elision: Option<usize> = None;
-    let mut i = 0;
-    while i + 1 < b.len() {
-        if b[i] == b':' && b[i + 1] == b':' {
-            if elision.is_some() {
-                return Err(ParseError::MultipleElisions);
+/// The hex digit value of every byte, [`NOT_HEX`] for the rest.
+const HEX: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let digits = b"0123456789abcdefABCDEF";
+    let mut k = 0;
+    while k < digits.len() {
+        let value = if k < 16 { k } else { k - 6 };
+        table[checked_usize(digits[k] as u128)] = checked_u8(value as u128);
+        k += 1;
+    }
+    table
+};
+
+/// Reads groups into a fixed `[u16; 8]`, noting where `::` sits, then
+/// slides the groups after `::` to the end. A group followed by `.` is
+/// re-read as the first octet of the dotted quad that must end the input.
+fn parse_addr(s: &str) -> Result<Addr, ParseError> {
+    let b = s.as_bytes();
+    let mut segs = [0u16; 8];
+    // Groups stored so far, and the group index `::` stands before.
+    let mut n = 0usize;
+    let mut gap: Option<usize> = None;
+    let mut i = match b {
+        [] => return Err(ParseError::Empty),
+        [b':', b':', ..] => {
+            gap = Some(0);
+            2
+        }
+        [b':', ..] => return Err(ParseError::StrayColon),
+        _ => 0,
+    };
+    loop {
+        // `i` is at the start of a group.
+        let start = i;
+        let mut group = 0u16;
+        while let Some(&c) = b.get(i) {
+            let d = HEX[usize::from(c)];
+            if d == NOT_HEX {
+                break;
             }
-            elision = Some(i);
-            i += 2;
-        } else {
+            if i - start == 4 {
+                return Err(ParseError::GroupTooLong);
+            }
+            group = (group << 4) | u16::from(d);
             i += 1;
         }
+        // `::` stands for at least one zero group.
+        let limit = if gap.is_some() { 7 } else { 8 };
+        match b.get(i) {
+            Some(b'.') => {
+                if n + 2 > limit {
+                    return Err(ParseError::TooManyGroups);
+                }
+                let [o0, o1, o2, o3] = parse_quad(s, start)?;
+                if let Some([hi, lo]) = segs.get_mut(n..n + 2) {
+                    *hi = u16::from_be_bytes([o0, o1]);
+                    *lo = u16::from_be_bytes([o2, o3]);
+                }
+                return finish(segs, n + 2, gap);
+            }
+            next if i == start => {
+                return match next {
+                    // The input ends right after `::`.
+                    None if gap == Some(n) => finish(segs, n, gap),
+                    None => Err(ParseError::StrayColon),
+                    // Only `::` leaves a group start on a colon.
+                    Some(b':') => Err(ParseError::MultipleElisions),
+                    Some(_) => Err(invalid_char(s, i)),
+                };
+            }
+            None | Some(b':') => {}
+            Some(_) => return Err(invalid_char(s, i)),
+        }
+        if let Some(slot) = segs.get_mut(n) {
+            *slot = group;
+        }
+        n += 1;
+        if i == b.len() {
+            return finish(segs, n, gap);
+        }
+        // A separator promises another group (or `::`), so the address
+        // must still have room for one.
+        if n == limit {
+            return Err(ParseError::TooManyGroups);
+        }
+        i += 1;
+        if b.get(i) == Some(&b':') {
+            if gap.is_some() {
+                return Err(ParseError::MultipleElisions);
+            }
+            gap = Some(n);
+            i += 1;
+            // With seven groups the `::` is the eighth: nothing may follow.
+            if n == 7 && i < b.len() {
+                return Err(ParseError::TooManyGroups);
+            }
+        }
     }
-    // "::: " anywhere means two overlapping elisions.
-    if s.contains(":::") {
-        return Err(ParseError::MultipleElisions);
-    }
+}
 
-    let (head, tail) = match elision {
-        Some(pos) => (&s[..pos], &s[pos + 2..]),
-        None => (s, ""),
-    };
-
-    let mut groups_head: Vec<u16> = Vec::with_capacity(8);
-    let mut groups_tail: Vec<u16> = Vec::with_capacity(8);
-    parse_groups(head, &mut groups_head, elision.is_none())?;
-    if elision.is_some() {
-        parse_groups(tail, &mut groups_tail, true)?;
-    }
-
-    let total = groups_head.len() + groups_tail.len();
-    match elision {
-        // "::" always stands for at least one zero group.
-        Some(_) if total > 7 => return Err(ParseError::TooManyGroups),
-        Some(_) => {}
-        None if total > 8 => return Err(ParseError::TooManyGroups),
-        None if total < 8 => return Err(ParseError::TooFewGroups),
+/// The address from `n` parsed groups, with the groups after `::` (if
+/// any) moved to the end and the zero groups it stands for in between.
+fn finish(mut segs: [u16; 8], n: usize, gap: Option<usize>) -> Result<Addr, ParseError> {
+    match gap {
+        None if n < 8 => return Err(ParseError::TooFewGroups),
         None => {}
-    }
-
-    let mut segs = [0u16; 8];
-    let fill = 8 - total;
-    for (k, g) in groups_head.iter().enumerate() {
-        segs[k] = *g;
-    }
-    for (k, g) in groups_tail.iter().enumerate() {
-        segs[groups_head.len() + fill + k] = *g;
+        Some(g) => {
+            if let Some(tail) = segs.get_mut(g..) {
+                tail.rotate_right(8 - n);
+            }
+        }
     }
     Ok(Addr::from_segments(segs))
 }
 
-/// Parses a colon-separated run of hex groups, possibly ending in an IPv4
-/// dotted quad (which contributes two 16-bit groups). `ipv4_allowed` is
-/// true when this run ends the address.
-fn parse_groups(s: &str, out: &mut Vec<u16>, _full_form: bool) -> Result<(), ParseError> {
-    if s.is_empty() {
-        return Ok(());
-    }
-    let parts: Vec<&str> = s.split(':').collect();
-    for (idx, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            // split artifacts only legal from "::" which was removed.
-            return Err(ParseError::StrayColon);
-        }
-        if part.contains('.') {
-            // IPv4 tail: must be the final part.
-            if idx != parts.len() - 1 {
-                return Err(ParseError::BadIpv4Tail);
-            }
-            let [o0, o1, o2, o3] = parse_v4(part)?;
-            out.push((u16::from(o0) << 8) | u16::from(o1));
-            out.push((u16::from(o2) << 8) | u16::from(o3));
-            return Ok(());
-        }
-        if part.len() > 4 {
-            return Err(ParseError::GroupTooLong);
-        }
-        let mut g: u16 = 0;
-        for c in part.chars() {
-            let d = c.to_digit(16).ok_or(ParseError::InvalidCharacter(c))?;
-            g = (g << 4) | checked_u16(u128::from(d));
-        }
-        out.push(g);
-    }
-    Ok(())
-}
-
-fn parse_v4(s: &str) -> Result<[u8; 4], ParseError> {
+/// Parses the dotted quad that runs from byte `start` to the end of `s`:
+/// four decimal octets, each `0` or `1`–`255` without a leading zero.
+fn parse_quad(s: &str, start: usize) -> Result<[u8; 4], ParseError> {
     let mut octets = [0u8; 4];
-    let mut n = 0;
-    for part in s.split('.') {
-        if n == 4 || part.is_empty() || part.len() > 3 {
-            return Err(ParseError::BadIpv4Tail);
-        }
-        // Reject leading zeros ("01") as inet_pton does.
-        if part.len() > 1 && part.starts_with('0') {
-            return Err(ParseError::BadIpv4Tail);
-        }
-        let mut v: u16 = 0;
-        for c in part.chars() {
-            let d = c.to_digit(10).ok_or(ParseError::BadIpv4Tail)?;
-            // Widen before the arithmetic: three decimal digits cannot
-            // overflow u128, and the narrowing back is checked.
-            v = checked_u16(u128::from(v) * 10 + u128::from(d));
-            if v > 255 {
-                return Err(ParseError::BadIpv4Tail);
+    let mut k = 0usize;
+    let mut digits = 0usize;
+    let mut octet = 0u8;
+    for (j, &c) in s.as_bytes().iter().enumerate().skip(start) {
+        match c {
+            b'0'..=b'9' => {
+                if digits > 0 && octet == 0 {
+                    return Err(ParseError::BadIpv4Tail);
+                }
+                octet = octet
+                    .checked_mul(10)
+                    .and_then(|o| o.checked_add(HEX[usize::from(c)]))
+                    .ok_or(ParseError::BadIpv4Tail)?;
+                digits += 1;
             }
+            b'.' => {
+                if digits == 0 || k == 3 {
+                    return Err(ParseError::BadIpv4Tail);
+                }
+                if let Some(slot) = octets.get_mut(k) {
+                    *slot = octet;
+                }
+                k += 1;
+                digits = 0;
+                octet = 0;
+            }
+            b':' | b'a'..=b'f' | b'A'..=b'F' => return Err(ParseError::BadIpv4Tail),
+            _ => return Err(invalid_char(s, j)),
         }
-        octets[n] = checked_u8(u128::from(v));
-        n += 1;
     }
-    if n != 4 {
+    if k != 3 || digits == 0 {
         return Err(ParseError::BadIpv4Tail);
     }
+    if let Some(slot) = octets.get_mut(3) {
+        *slot = octet;
+    }
     Ok(octets)
+}
+
+/// [`ParseError::InvalidCharacter`] for the character starting at byte
+/// `i` (every byte before it was ASCII, so `i` is a char boundary).
+fn invalid_char(s: &str, i: usize) -> ParseError {
+    let c = s.get(i..).and_then(|rest| rest.chars().next());
+    ParseError::InvalidCharacter(c.unwrap_or(char::REPLACEMENT_CHARACTER))
 }
 
 // ---------------------------------------------------------------------------
@@ -528,6 +572,10 @@ mod tests {
             "2001:db8::1 ",
             " 2001:db8::1",
             "2001:db8:::1",
+            // A dotted quad is only ever the final 32 bits.
+            "1.2.3.4::",
+            "1:1.2.3.4::",
+            "1.2.3.4::1",
         ] {
             assert!(bad.parse::<Addr>().is_err(), "accepted {bad:?}");
         }

@@ -6,7 +6,8 @@
 //! everything else — which is precisely the paper's motivation for adding
 //! temporal analysis. The classifier here produces the categories used to
 //! build Table 1 and to cull transition mechanisms before temporal/spatial
-//! classification.
+//! classification. [`cull`] is that culling step on its own: the census
+//! ingest path needs only the §4.1 partition, not the IID heuristics.
 
 use crate::{embedded_ipv4, iid_entropy_bits, special, Addr, Iid, Mac};
 
@@ -83,43 +84,89 @@ impl AddressScheme {
 /// see the calibration test below and `tests/scheme_calibration.rs`.
 pub const PSEUDORANDOM_ENTROPY_BITS: f64 = 34.0;
 
+/// The §4.1 culling partition: the three early transition mechanisms,
+/// EUI-64 among the rest, and everything else. It is the first half of
+/// [`classify`], the part every address pays for; [`classify`] refines
+/// only [`Cull::Other`] further, by the IID heuristics.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Cull {
+    /// Teredo (RFC 4380): inside `2001::/32`.
+    Teredo,
+    /// 6to4 (RFC 3056): inside `2002::/16`.
+    SixToFour,
+    /// ISATAP (RFC 5214): IID is `[02]00:5efe` + embedded IPv4.
+    Isatap,
+    /// Modified EUI-64 IID, carrying the embedded MAC.
+    Eui64(Mac),
+    /// Any other address: native IPv6 end-to-end transport.
+    Other,
+}
+
+/// Culls an address into the §4.1 partition without running the IID
+/// heuristics: `cull(a)` is [`classify`]`(a)` with every scheme other
+/// than Teredo, 6to4, ISATAP and EUI-64 folded into [`Cull::Other`].
+///
+/// Precedence: Teredo and 6to4 by reserved prefix, then ISATAP, then
+/// EUI-64 by IID marker.
+pub fn cull(a: Addr) -> Cull {
+    if special::is_teredo(a) {
+        return Cull::Teredo;
+    }
+    if special::is_6to4(a) {
+        return Cull::SixToFour;
+    }
+    cull_iid(Iid::of(a))
+}
+
+/// The IID half of [`cull`]: ISATAP, then EUI-64, else other.
+fn cull_iid(iid: Iid) -> Cull {
+    if iid.is_isatap() {
+        return Cull::Isatap;
+    }
+    match iid.eui64_mac() {
+        Some(mac) => Cull::Eui64(mac),
+        None => Cull::Other,
+    }
+}
+
 /// Classifies an address by content alone (§3 categories).
 ///
-/// Precedence: Teredo and 6to4 by reserved prefix, ISATAP by IID marker,
-/// then EUI-64 by IID marker, then embedded IPv4, then IID size
-/// heuristics, then the entropy heuristic.
+/// Precedence: [`cull`] first (Teredo and 6to4 by reserved prefix,
+/// ISATAP and EUI-64 by IID marker), then, for the rest, embedded IPv4,
+/// then IID size heuristics, then the entropy heuristic.
 ///
 /// Note that 6to4 wins over IID structure: a 6to4 address with an EUI-64
 /// IID is still 6to4 for culling purposes (Table 1 counts "EUI-64 addr
 /// (!6to4)" separately for exactly this reason — use
 /// [`classify_beneath_6to4`] to see through the 6to4 prefix).
 pub fn classify(a: Addr) -> AddressScheme {
-    if special::is_teredo(a) {
-        return AddressScheme::Teredo;
-    }
-    if special::is_6to4(a) {
-        return AddressScheme::SixToFour;
-    }
-    classify_iid_content(a)
+    refine(a, cull(a))
 }
 
 /// Classifies the IID content of an address, ignoring whether the network
 /// prefix is 6to4 — used for the Table 1 "EUI-64 addr (!6to4)" split.
 pub fn classify_beneath_6to4(a: Addr) -> AddressScheme {
-    classify_iid_content(a)
+    refine(a, cull_iid(Iid::of(a)))
 }
 
-fn classify_iid_content(a: Addr) -> AddressScheme {
-    let iid = Iid::of(a);
-    if iid.is_isatap() {
-        return AddressScheme::Isatap;
+/// The scheme of an address culled as `c`: the culled classes map one
+/// to one, and "other" addresses go through the IID heuristics.
+fn refine(a: Addr, c: Cull) -> AddressScheme {
+    match c {
+        Cull::Teredo => AddressScheme::Teredo,
+        Cull::SixToFour => AddressScheme::SixToFour,
+        Cull::Isatap => AddressScheme::Isatap,
+        Cull::Eui64(mac) => AddressScheme::Eui64(mac),
+        Cull::Other => classify_other_iid(a),
     }
-    if let Some(mac) = iid.eui64_mac() {
-        return AddressScheme::Eui64(mac);
-    }
+}
+
+/// The IID heuristics for an address [`cull`] left as other.
+fn classify_other_iid(a: Addr) -> AddressScheme {
     if let Some(v4) = embedded_ipv4(a) {
         return AddressScheme::EmbeddedV4(v4);
     }
+    let iid = Iid::of(a);
     if iid.is_low() {
         return AddressScheme::LowIid;
     }

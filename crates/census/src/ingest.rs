@@ -7,7 +7,7 @@
 //! content-defined address formats would skew results.
 
 use std::collections::BTreeSet;
-use v6census_addr::scheme::{classify, classify_beneath_6to4};
+use v6census_addr::scheme::{classify, classify_beneath_6to4, cull, Cull};
 use v6census_addr::{Addr, AddressScheme, Mac};
 use v6census_core::temporal::{DailyObservations, Day};
 use v6census_synth::{DayLog, World};
@@ -54,16 +54,16 @@ impl DaySummary {
         let mut hits = 0u64;
         for (addr, h) in entries {
             hits += h;
-            match classify(addr) {
-                AddressScheme::Teredo => teredo.push(addr),
-                AddressScheme::Isatap => isatap.push(addr),
-                AddressScheme::SixToFour => sixtofour.push(addr),
-                AddressScheme::Eui64(mac) => {
+            match cull(addr) {
+                Cull::Teredo => teredo.push(addr),
+                Cull::Isatap => isatap.push(addr),
+                Cull::SixToFour => sixtofour.push(addr),
+                Cull::Eui64(mac) => {
                     other.push(addr);
                     eui64.push(addr);
                     eui64_macs.insert(mac);
                 }
-                _ => other.push(addr),
+                Cull::Other => other.push(addr),
             }
         }
         DaySummary {

@@ -447,6 +447,11 @@ impl IngestReport {
     }
 }
 
+/// The most entries a day-log header can reserve up front (32 MiB of
+/// `(Addr, u64)`): a header is untrusted input, so a huge declared
+/// count must not become a huge allocation before any line is read.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// The parsed content of one day-log file.
 struct FileParse {
     header_day: Option<Day>,
@@ -888,6 +893,7 @@ impl StreamIngestor {
                     if let Some((day, n)) = parse_header(t) {
                         parse.header_day = Some(day);
                         parse.declared = Some(n);
+                        parse.entries.reserve(n.min(MAX_RESERVED_ENTRIES));
                     }
                 } else if let Some(rest) = c.trim().strip_prefix("end ") {
                     let mut cols = rest.split_whitespace();

@@ -17,9 +17,10 @@
 //!   common-prefix lengths, and per-aggregate population counts for the
 //!   Kohler-style distribution plots.
 //!
-//! The trie and the sort-based path compute identical answers; the
-//! `densify` Criterion bench and property tests in this crate assert that
-//! equivalence, which DESIGN.md lists as an ablation.
+//! The trie and the sort-based path compute identical answers: the
+//! property tests in this crate assert that equivalence, and the
+//! `pipeline_speed` bench re-checks it byte-for-byte while timing both;
+//! DESIGN.md lists it as an ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
