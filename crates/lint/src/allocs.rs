@@ -22,9 +22,9 @@
 //!   `format!`, `.to_string()`, `.to_owned()`, `.to_vec()`,
 //!   `.clone()`, `.collect()`.
 //!
-//! Direct effects are lifted over the call graph to a max-lattice
-//! fixpoint exactly like R004's `may_block` bit, with `via` hops
-//! recorded so findings can print the concrete allocation site.
+//! Direct effects are lifted over the call graph by the shared
+//! [`crate::summary`] engine, with `via` hops recorded so findings can
+//! print the concrete allocation site.
 //!
 //! Loop scopes are tracked token-precisely: `for`/`while`/`loop`
 //! bodies by brace matching, plus closure bodies passed to per-element
@@ -50,19 +50,22 @@
 //! Both rules are scoped by `[hot] paths` in `lint.toml` (empty or
 //! absent = everywhere, which is what the fixture tests rely on).
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
+use crate::callgraph::Call;
 use crate::config::Config;
 use crate::lexer::{TokKind, Token};
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
+use crate::scan::{code_views, matching, span, CodeTok};
+use crate::summary::{path_up, reachable, render, Fact, Hit, Site, Summary, Tally};
 
 /// A function's allocation effect. `Ord` follows the lattice:
 /// `NoAlloc < AmortizedAlloc < AllocPerCall`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AllocEffect {
     /// No allocating construct, directly or transitively.
+    #[default]
     NoAlloc,
     /// Allocates only via capacity reservations or reserved growth.
     AmortizedAlloc,
@@ -70,17 +73,9 @@ pub enum AllocEffect {
     AllocPerCall,
 }
 
-/// One direct allocating construct inside a function body.
-#[derive(Clone, Debug)]
-pub struct AllocSite {
-    /// Original token index (for loop-scope containment).
-    pub pos: usize,
-    /// 1-based source line.
-    pub line: usize,
-    /// Human description, e.g. `Vec::new` or `.to_string()`.
-    pub desc: String,
-    /// What this site contributes to the lattice.
-    pub effect: AllocEffect,
+impl Fact for AllocEffect {
+    const TOP: AllocEffect = AllocEffect::AllocPerCall;
+    const LAST_WINS: bool = true;
 }
 
 /// One loop scope inside a function body, as a token range.
@@ -95,20 +90,6 @@ pub struct LoopScope {
     pub line: usize,
     /// `for` / `while` / `loop` or the adapter name (`map`, `fold`…).
     pub kind: String,
-}
-
-/// Per-workspace allocation-effect summaries.
-pub struct AllocSummaries {
-    /// `direct[fn]` = that fn's own allocating sites, in token order.
-    pub direct: Vec<Vec<AllocSite>>,
-    /// `effect[fn]` = the lifted lattice point (max over callees).
-    pub effect: Vec<AllocEffect>,
-    /// For lifted `AllocPerCall` bits: the call hop `(callee, line)`
-    /// that introduced per-call allocation into a fn with no direct
-    /// per-call site of its own.
-    pub via: BTreeMap<usize, (usize, usize)>,
-    /// `loops[fn]` = that fn's loop scopes, in token order.
-    pub loops: Vec<Vec<LoopScope>>,
 }
 
 /// Counters for `BENCH_lint.json`'s `allocs` block and the self-check.
@@ -145,7 +126,9 @@ pub struct AllocAnalysis {
     /// R006 capacity-discipline findings.
     pub capacity_findings: Vec<Diagnostic>,
     /// Summaries (exposed for the bench and for tests).
-    pub summaries: AllocSummaries,
+    pub summaries: Summary<AllocEffect>,
+    /// `loops[fn]` = that fn's loop scopes, in token order.
+    pub loops: Vec<Vec<LoopScope>>,
     /// Counters for the bench's `allocs` block and the self-check.
     pub stats: AllocStats,
 }
@@ -210,7 +193,7 @@ const ADAPTER_LOOPS: &[&str] = &[
 ];
 
 /// True when `rel` is inside the `[hot] paths` scope (empty or absent
-/// section = everywhere, mirroring `Config::rule_applies`).
+/// section = everywhere, as `Config::rule_applies` treats rule scopes).
 pub fn hot_scope_applies(cfg: &Config, rel: &str) -> bool {
     let paths = cfg.list("hot", "paths");
     paths.is_empty() || paths.iter().any(|p| rel.starts_with(p.as_str()))
@@ -233,208 +216,104 @@ fn classifier_owned(expr: &str) -> bool {
 
 /// The shared pass: summarize every function, then run both rules.
 pub fn analyze(ws: &Workspace<'_>, cfg: &Config) -> AllocAnalysis {
-    let summaries = summarize(ws);
+    let views = code_views(ws.files);
+    let bodies: Vec<&[CodeTok<'_>]> = ws
+        .symbols
+        .fns
+        .iter()
+        .map(|f| match (f.body, views.get(f.file)) {
+            (Some((start, end)), Some(view)) if !f.is_test => span(view, start, end),
+            _ => &[],
+        })
+        .collect();
+    let direct = bodies.iter().map(|b| direct_sites(b)).collect();
+    let loops: Vec<Vec<LoopScope>> = bodies.iter().map(|b| loop_scopes(b)).collect();
+    let summaries = Summary::lift(ws, direct, |_, call| classifier_owned(&call.expr));
     let mut stats = AllocStats::default();
     for (id, f) in ws.symbols.fns.iter().enumerate() {
         if f.is_test || f.body.is_none() {
             continue;
         }
         stats.fns_summarized += 1;
-        stats.loops_scanned += summaries.loops.get(id).map(Vec::len).unwrap_or(0);
-        match summaries.effect.get(id) {
-            Some(AllocEffect::NoAlloc) => stats.no_alloc_fns += 1,
-            Some(AllocEffect::AmortizedAlloc) => stats.amortized_fns += 1,
-            Some(AllocEffect::AllocPerCall) => stats.per_call_fns += 1,
-            None => {}
+        stats.loops_scanned += loops[id].len();
+        match summaries.effect[id] {
+            AllocEffect::NoAlloc => stats.no_alloc_fns += 1,
+            AllocEffect::AmortizedAlloc => stats.amortized_fns += 1,
+            AllocEffect::AllocPerCall => stats.per_call_fns += 1,
         }
     }
-    let hot_findings = hot_loop_check(ws, cfg, &summaries, &mut stats);
-    let capacity_findings = capacity_check(ws, &summaries, &mut stats);
+    let hot_findings = hot_loop_check(ws, cfg, &summaries, &loops, &mut stats);
+    let capacity_findings = capacity_check(ws, &views, &loops, &mut stats);
     AllocAnalysis {
         hot_findings,
         capacity_findings,
         summaries,
+        loops,
         stats,
     }
 }
 
-/// Scans every function body for direct allocating sites and loop
-/// scopes, then lifts the effects over the call graph to a max-lattice
-/// fixpoint (mirroring [`crate::effects::summarize`]).
-pub fn summarize(ws: &Workspace<'_>) -> AllocSummaries {
-    let n = ws.symbols.fns.len();
-    let mut direct: Vec<Vec<AllocSite>> = vec![Vec::new(); n];
-    let mut loops: Vec<Vec<LoopScope>> = vec![Vec::new(); n];
-    for (id, f) in ws.symbols.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
-        let body = body_tokens(&file.tokens, start, end);
-        direct[id] = direct_sites(&body);
-        loops[id] = loop_scopes(&body);
-    }
-
-    let mut effect: Vec<AllocEffect> = direct
-        .iter()
-        .map(|d| {
-            d.iter()
-                .map(|s| s.effect)
-                .max()
-                .unwrap_or(AllocEffect::NoAlloc)
-        })
-        .collect();
-    let mut via: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if effect.get(id) == Some(&AllocEffect::AllocPerCall)
-                || ws.symbols.fns.get(id).is_some_and(|f| f.is_test)
-            {
-                continue;
-            }
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if classifier_owned(&call.expr) {
-                    continue;
-                }
-                let best = call
-                    .callees
-                    .iter()
-                    .filter(|&&c| ws.symbols.fns.get(c).is_some_and(|f| !f.is_test))
-                    .map(|&c| (effect.get(c).copied().unwrap_or(AllocEffect::NoAlloc), c))
-                    .max();
-                let Some((ce, callee)) = best else { continue };
-                if ce > effect.get(id).copied().unwrap_or(AllocEffect::NoAlloc) {
-                    if let Some(slot) = effect.get_mut(id) {
-                        *slot = ce;
-                    }
-                    if ce == AllocEffect::AllocPerCall {
-                        via.insert(id, (callee, call.line));
-                    }
-                    changed = true;
-                }
-                if effect.get(id) == Some(&AllocEffect::AllocPerCall) {
-                    break;
-                }
-            }
-        }
-    }
-    AllocSummaries {
-        direct,
-        effect,
-        via,
-        loops,
-    }
-}
-
-/// The body's non-comment tokens, with original indices preserved.
-fn body_tokens(tokens: &[Token], start: usize, end: usize) -> Vec<(usize, &Token)> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(o, t)| {
-            (start..end).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
-        })
-        .collect()
-}
-
 /// Token walk over one body collecting direct allocating sites.
-fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
+fn direct_sites(toks: &[CodeTok<'_>]) -> Vec<Site<AllocEffect>> {
+    use AllocEffect::{AllocPerCall, AmortizedAlloc};
     let mut out = Vec::new();
     for j in 0..toks.len() {
-        let Some(&(orig, t)) = toks.get(j) else {
-            continue;
+        let (orig, t) = toks[j];
+        let mut site = |pos, desc, fact| {
+            out.push(Site {
+                pos,
+                line: t.line,
+                desc,
+                fact,
+            })
         };
         // Allocating macro: `vec !` / `format !`.
         if t.kind == TokKind::Ident
             && PER_CALL_MACROS.iter().any(|m| t.is_ident(m))
             && toks.get(j + 1).is_some_and(|&(_, x)| x.is_op("!"))
         {
-            out.push(AllocSite {
-                pos: orig,
-                line: t.line,
-                desc: format!("{}!", t.text),
-                effect: AllocEffect::AllocPerCall,
-            });
+            site(orig, format!("{}!", t.text), AllocPerCall);
             continue;
         }
         if !t.is_op("(") || j < 2 {
             continue;
         }
-        let Some(&(mpos, m)) = toks.get(j - 1) else {
-            continue;
-        };
+        let (mpos, m) = toks[j - 1];
+        let sep = toks[j - 2].1;
         if m.kind != TokKind::Ident {
             continue;
         }
-        let dotted = toks
-            .get(j.wrapping_sub(2))
-            .is_some_and(|&(_, x)| x.is_op("."));
-        let pathed = toks
-            .get(j.wrapping_sub(2))
-            .is_some_and(|&(_, x)| x.is_op("::"));
-        // `Type :: method (` — allocating constructors, with_capacity.
-        if pathed {
-            let ty = toks.get(j.wrapping_sub(3)).map(|&(_, x)| x.text.as_str());
-            if let Some(ty) = ty {
-                if PER_CALL_CTORS
-                    .iter()
-                    .any(|&(t0, m0)| ty == t0 && m.is_ident(m0))
-                {
-                    out.push(AllocSite {
-                        pos: mpos,
-                        line: m.line,
-                        desc: format!("{ty}::{}", m.text),
-                        effect: AllocEffect::AllocPerCall,
-                    });
-                    continue;
-                }
-            }
-            if m.is_ident("with_capacity") {
-                out.push(AllocSite {
-                    pos: mpos,
-                    line: m.line,
-                    desc: "with_capacity".into(),
-                    effect: AllocEffect::AmortizedAlloc,
-                });
-                continue;
-            }
-        }
-        if !dotted {
-            continue;
-        }
-        // `.method (` — per-call copies, reservations, growth.
-        if PER_CALL_METHODS.iter().any(|n| m.is_ident(n)) {
-            out.push(AllocSite {
+        let mut site = |desc, fact| {
+            out.push(Site {
                 pos: mpos,
                 line: m.line,
-                desc: format!(".{}()", m.text),
-                effect: AllocEffect::AllocPerCall,
-            });
-        } else if RESERVE_METHODS
-            .iter()
-            .chain(GROW_METHODS)
-            .any(|n| m.is_ident(n))
-        {
+                desc,
+                fact,
+            })
+        };
+        // `Type :: method (` — allocating constructors, with_capacity.
+        if sep.is_op("::") {
+            let ty = toks.get(j.wrapping_sub(3)).map(|&(_, x)| x.text.as_str());
+            if let Some(ty) = ty.filter(|ty| PER_CALL_CTORS.contains(&(ty, m.text.as_str()))) {
+                site(format!("{ty}::{}", m.text), AllocPerCall);
+            } else if m.is_ident("with_capacity") {
+                site("with_capacity".into(), AmortizedAlloc);
+            }
+        } else if sep.is_op(".") {
+            // `.method (` — per-call copies, reservations, growth.
             // Reservations and (presumed-reserved) growth both land on
             // the amortized point; R006 separately audits the growth
             // sites for an actual dominating reservation.
-            out.push(AllocSite {
-                pos: mpos,
-                line: m.line,
-                desc: format!(".{}()", m.text),
-                effect: AllocEffect::AmortizedAlloc,
-            });
+            let name = m.text.as_str();
+            if PER_CALL_METHODS.contains(&name) {
+                site(format!(".{name}()"), AllocPerCall);
+            } else if RESERVE_METHODS
+                .iter()
+                .chain(GROW_METHODS)
+                .any(|n| *n == name)
+            {
+                site(format!(".{name}()"), AmortizedAlloc);
+            }
         }
     }
     out
@@ -442,7 +321,7 @@ fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
 
 /// Token walk over one body collecting loop scopes: keyword loops by
 /// brace matching, iterator-adapter closures by paren matching.
-fn loop_scopes(toks: &[(usize, &Token)]) -> Vec<LoopScope> {
+fn loop_scopes(toks: &[CodeTok<'_>]) -> Vec<LoopScope> {
     let mut out = Vec::new();
     for j in 0..toks.len() {
         let Some(&(_, t)) = toks.get(j) else { continue };
@@ -453,7 +332,7 @@ fn loop_scopes(toks: &[(usize, &Token)]) -> Vec<LoopScope> {
             if toks.get(j + 1).is_some_and(|&(_, x)| x.is_op("<")) {
                 continue;
             }
-            if let Some((open, close, _)) = keyword_loop_body(toks, j) {
+            if let Some((open, close)) = keyword_loop_body(toks, j) {
                 out.push(LoopScope {
                     open,
                     close,
@@ -488,8 +367,8 @@ fn loop_scopes(toks: &[(usize, &Token)]) -> Vec<LoopScope> {
 
 /// From a loop keyword at `kw`, finds the body's `{ … }` token range:
 /// the first `{` outside parens/brackets before a `;`, then its
-/// matching `}`. Returns original token indices `(open, close, ok)`.
-fn keyword_loop_body(toks: &[(usize, &Token)], kw: usize) -> Option<(usize, usize, usize)> {
+/// matching `}`. Returns original token indices `(open, close)`.
+fn keyword_loop_body(toks: &[CodeTok<'_>], kw: usize) -> Option<(usize, usize)> {
     let mut depth = 0i32;
     let mut j = kw + 1;
     let open_at = loop {
@@ -505,21 +384,8 @@ fn keyword_loop_body(toks: &[(usize, &Token)], kw: usize) -> Option<(usize, usiz
         }
         j += 1;
     };
-    let mut braces = 0i32;
-    let mut k = open_at;
-    loop {
-        let &(orig, t) = toks.get(k)?;
-        if t.is_op("{") {
-            braces += 1;
-        } else if t.is_op("}") {
-            braces -= 1;
-            if braces == 0 {
-                let &(open_orig, _) = toks.get(open_at)?;
-                return Some((open_orig, orig, k));
-            }
-        }
-        k += 1;
-    }
+    let close = matching(toks, open_at)?;
+    Some((toks[open_at].0, toks[close].0))
 }
 
 /// From an adapter's `(` at `open_paren`, finds the closure scope:
@@ -527,7 +393,7 @@ fn keyword_loop_body(toks: &[(usize, &Token)], kw: usize) -> Option<(usize, usiz
 /// call's matching `)`. `fold(init, |acc, x| …)` starts at the `|`, so
 /// the once-per-call init expression is outside the scope. Returns
 /// `None` when no closure is passed (e.g. `.map(f)`).
-fn adapter_closure_scope(toks: &[(usize, &Token)], open_paren: usize) -> Option<(usize, usize)> {
+fn adapter_closure_scope(toks: &[CodeTok<'_>], open_paren: usize) -> Option<(usize, usize)> {
     let mut depth = 0i32;
     let mut pipe: Option<usize> = None;
     let mut k = open_paren;
@@ -552,197 +418,73 @@ fn adapter_closure_scope(toks: &[(usize, &Token)], open_paren: usize) -> Option<
 fn hot_loop_check(
     ws: &Workspace<'_>,
     cfg: &Config,
-    sums: &AllocSummaries,
+    sums: &Summary<AllocEffect>,
+    loops: &[Vec<LoopScope>],
     stats: &mut AllocStats,
 ) -> Vec<Diagnostic> {
     // Entry points: configured suffixes, or every non-test fn when the
     // section is absent (fixture tests run config-free).
     let configured = cfg.list("hot", "entry_points");
-    let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let seed =
-        |id: usize, parent: &mut BTreeMap<usize, Option<usize>>, queue: &mut VecDeque<usize>| {
-            if ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                return;
-            }
-            if let Entry::Vacant(slot) = parent.entry(id) {
-                slot.insert(None);
-                queue.push_back(id);
-            }
-        };
-    if configured.is_empty() {
-        for id in 0..ws.symbols.fns.len() {
-            seed(id, &mut parent, &mut queue);
-        }
+    let parent = if configured.is_empty() {
+        reachable(ws, 0..ws.symbols.fns.len())
     } else {
-        for entry in configured {
-            for id in ws.symbols.find_by_suffix(entry) {
-                seed(id, &mut parent, &mut queue);
-            }
-        }
-    }
-    stats.hot_entry_points = queue.len();
-    while let Some(cur) = queue.pop_front() {
-        for (callee, _line, _expr) in ws.calls.edges(cur) {
-            if parent.contains_key(&callee) || ws.symbols.fns.get(callee).is_some_and(|f| f.is_test)
-            {
-                continue;
-            }
-            parent.insert(callee, Some(cur));
-            queue.push_back(callee);
-        }
-    }
+        reachable(
+            ws,
+            configured.iter().flat_map(|e| ws.symbols.find_by_suffix(e)),
+        )
+    };
+    stats.hot_entry_points = parent.values().filter(|p| p.is_none()).count();
 
     let mut out = Vec::new();
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (&id, _) in parent.iter() {
-        let Some(f) = ws.symbols.fns.get(id) else {
+    let mut tally = Tally::default();
+    let skip = |call: &Call| classifier_owned(&call.expr);
+    for &id in parent.keys() {
+        let Some(file) = ws.symbols.fns.get(id).and_then(|f| ws.files.get(f.file)) else {
             continue;
         };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
-        for lp in sums.loops.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-            // Obligation 1: no direct per-call construct in the loop.
-            for site in sums.direct.get(id).into_iter().flatten() {
-                if site.pos <= lp.open || site.pos >= lp.close {
-                    continue;
-                }
-                stats.hot_loop_obligations += 1;
-                if site.effect != AllocEffect::AllocPerCall {
-                    stats.hot_loop_proven += 1;
-                    continue;
-                }
-                if !seen.insert((id, site.pos)) {
-                    continue;
-                }
-                out.push(semantic_finding(
-                    "R005",
-                    "alloc-in-hot-loop",
-                    file,
-                    site.line,
-                    format!(
-                        "`{}` allocates on every iteration of this hot `{}` loop (line {}) — hoist the buffer or reserve once outside",
-                        site.desc, lp.kind, lp.line
+        for lp in &loops[id] {
+            for hit in sums.scope_hits(ws, id, (lp.open, lp.close), 0, skip, &mut tally) {
+                let looped = format!(
+                    "{} → loop @ {}:{}",
+                    render(ws, &path_up(&parent, id)),
+                    file.rel,
+                    lp.line
+                );
+                let (line, message, chain) = match hit {
+                    Hit::Site(site) => (
+                        site.line,
+                        format!(
+                            "`{}` allocates on every iteration of this hot `{}` loop (line {}) — hoist the buffer or reserve once outside",
+                            site.desc, lp.kind, lp.line
+                        ),
+                        format!("{looped} → {} ({}:{})", site.desc, file.rel, site.line),
                     ),
-                    Some(format!(
-                        "{} → loop @ {}:{} → {} ({}:{})",
-                        build_chain(ws, &parent, id),
-                        file.rel,
-                        lp.line,
-                        site.desc,
-                        file.rel,
-                        site.line
-                    )),
-                ));
-            }
-            // Obligation 2: no call in the loop reaches AllocPerCall.
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if call.paren <= lp.open || call.paren >= lp.close || classifier_owned(&call.expr) {
-                    continue;
-                }
-                let workspace_callees: Vec<usize> = call
-                    .callees
-                    .iter()
-                    .copied()
-                    .filter(|&c| ws.symbols.fns.get(c).is_some_and(|x| !x.is_test))
-                    .collect();
-                if workspace_callees.is_empty() {
-                    continue; // foreign call: the direct-site scan owns it
-                }
-                stats.hot_loop_obligations += 1;
-                let allocator = workspace_callees
-                    .iter()
-                    .copied()
-                    .find(|&c| sums.effect.get(c) == Some(&AllocEffect::AllocPerCall));
-                let Some(allocator) = allocator else {
-                    stats.hot_loop_proven += 1;
-                    continue;
+                    Hit::Call(call, allocator) => {
+                        let (path, leaf) = sums.witness(ws, allocator, "per-call allocation");
+                        (
+                            call.line,
+                            format!(
+                                "call `{}` allocates on every iteration of this hot `{}` loop (line {}) — via {leaf}; hoist or make the callee allocation-free",
+                                call.expr, lp.kind, lp.line
+                            ),
+                            format!("{looped} → {path}"),
+                        )
+                    }
                 };
-                if !seen.insert((id, call.paren)) {
-                    continue;
-                }
-                let (path, leaf) = alloc_path(ws, sums, allocator);
                 out.push(semantic_finding(
                     "R005",
                     "alloc-in-hot-loop",
                     file,
-                    call.line,
-                    format!(
-                        "call `{}` allocates on every iteration of this hot `{}` loop (line {}) — via {leaf}; hoist or make the callee allocation-free",
-                        call.expr, lp.kind, lp.line
-                    ),
-                    Some(format!(
-                        "{} → loop @ {}:{} → {path}",
-                        build_chain(ws, &parent, id),
-                        file.rel,
-                        lp.line
-                    )),
+                    line,
+                    message,
+                    Some(chain),
                 ));
             }
         }
     }
+    stats.hot_loop_obligations = tally.obligations;
+    stats.hot_loop_proven = tally.proven;
     out
-}
-
-/// Renders `callee → … → concrete allocation site` following `via`
-/// hops (mirrors `effects::blocking_path`).
-fn alloc_path(ws: &Workspace<'_>, sums: &AllocSummaries, mut id: usize) -> (String, String) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        let site = sums
-            .direct
-            .get(id)
-            .and_then(|d| d.iter().find(|s| s.effect == AllocEffect::AllocPerCall));
-        if let Some(site) = site {
-            let rel = ws
-                .symbols
-                .fns
-                .get(id)
-                .and_then(|f| ws.files.get(f.file))
-                .map(|x| x.rel.as_str())
-                .unwrap_or("");
-            let leaf = site.desc.clone();
-            hops.push(format!("{} ({rel}:{})", site.desc, site.line));
-            return (hops.join(" → "), leaf);
-        }
-        match sums.via.get(&id) {
-            Some(&(next, _)) => id = next,
-            None => break,
-        }
-    }
-    (hops.join(" → "), "per-call allocation".into())
-}
-
-/// Renders the `entry → … → fn` chain by walking BFS parent pointers.
-fn build_chain(
-    ws: &Workspace<'_>,
-    parent: &BTreeMap<usize, Option<usize>>,
-    mut fn_id: usize,
-) -> String {
-    let mut names: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(fn_id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        names.push(name);
-        match parent.get(&fn_id) {
-            Some(Some(up)) => fn_id = *up,
-            _ => break,
-        }
-    }
-    names.reverse();
-    names.join(" → ")
 }
 
 /// R006: every `Vec`/`String` grown inside a loop must show a
@@ -751,7 +493,8 @@ fn build_chain(
 /// function that must hold the discipline.
 fn capacity_check(
     ws: &Workspace<'_>,
-    sums: &AllocSummaries,
+    views: &[Vec<CodeTok<'_>>],
+    loops: &[Vec<LoopScope>],
     stats: &mut AllocStats,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -759,58 +502,41 @@ fn capacity_check(
         if f.is_test {
             continue;
         }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
+        let (Some((start, end)), Some(file), Some(view)) =
+            (f.body, ws.files.get(f.file), views.get(f.file))
+        else {
             continue;
         };
-        let body = body_tokens(&file.tokens, start, end);
-        let sig = signature_tokens(&file.tokens, start);
+        let body = span(view, start, end);
+        let sig = f.signature(view);
         let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for lp in sums.loops.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-            for j in 0..body.len() {
-                let Some(&(orig, t)) = body.get(j) else {
-                    continue;
-                };
-                if orig <= lp.open || orig >= lp.close {
-                    continue;
-                }
-                if t.kind != TokKind::Ident || !GROW_METHODS.iter().any(|n| t.is_ident(n)) {
-                    continue;
-                }
-                if !body.get(j + 1).is_some_and(|&(_, x)| x.is_op("(")) {
-                    continue;
-                }
-                if !body
-                    .get(j.wrapping_sub(1))
-                    .is_some_and(|&(_, x)| x.is_op("."))
+        for lp in &loops[id] {
+            let lo = body.partition_point(|&(o, _)| o <= lp.open);
+            let hi = body.partition_point(|&(o, _)| o < lp.close);
+            for j in lo.max(2)..hi {
+                let (orig, t) = body[j];
+                let at = |k: usize| body[k].1;
+                // `recv . grow (` on a plain identifier receiver; a
+                // chained/indexed receiver is out of scope, and
+                // `self.extend(…)` leaves growth to the type.
+                let recv = at(j - 2);
+                if !GROW_METHODS.iter().any(|n| t.is_ident(n))
+                    || !body.get(j + 1).is_some_and(|&(_, x)| x.is_op("("))
+                    || !at(j - 1).is_op(".")
+                    || recv.kind != TokKind::Ident
+                    || recv.is_ident("self")
+                    || !seen.insert(orig)
                 {
                     continue;
                 }
-                let Some(&(_, recv)) = body.get(j.wrapping_sub(2)) else {
-                    continue;
-                };
-                if recv.kind != TokKind::Ident {
-                    continue; // chained/indexed receiver: out of scope
-                }
-                let on_self_field = body
-                    .get(j.wrapping_sub(3))
-                    .is_some_and(|&(_, x)| x.is_op("."))
-                    && body
-                        .get(j.wrapping_sub(4))
-                        .is_some_and(|&(_, x)| x.is_ident("self"));
-                if recv.is_ident("self") {
-                    continue; // `self.extend(…)` — the type owns growth
-                }
-                if !seen.insert(orig) {
-                    continue;
-                }
+                let on_self_field = j >= 4 && at(j - 3).is_op(".") && at(j - 4).is_ident("self");
                 stats.capacity_obligations += 1;
                 let proven = if on_self_field {
                     // `&mut self` state: the buffer outlives the call
                     // and its reservation is the constructor's job.
                     sig.iter().any(|&(_, x)| x.is_ident("self"))
                 } else {
-                    dominating_reservation(&body, j, &recv.text) || mut_out_param(&sig, &recv.text)
+                    dominating_reservation(body, j, &recv.text) || mut_out_param(sig, &recv.text)
                 };
                 if proven {
                     stats.capacity_proven += 1;
@@ -837,86 +563,35 @@ fn capacity_check(
 /// body index `site`: an earlier `recv.reserve(…)` / `recv.clear(…)`,
 /// or an earlier statement binding/assigning `recv` that mentions
 /// `with_capacity` before its `;`.
-fn dominating_reservation(body: &[(usize, &Token)], site: usize, recv: &str) -> bool {
-    for j in 0..site.saturating_sub(2) {
-        let Some(&(_, t)) = body.get(j) else { continue };
-        if t.kind != TokKind::Ident || !t.is_ident(recv) {
-            continue;
-        }
-        if body.get(j + 1).is_some_and(|&(_, x)| x.is_op(".")) {
-            let is_reserve = body.get(j + 2).is_some_and(|&(_, x)| {
-                RESERVE_METHODS.iter().any(|n| x.is_ident(n)) || x.is_ident("clear")
-            });
-            if is_reserve {
-                return true;
-            }
-        }
-        // `recv = … with_capacity(…) …;` (also covers `let mut recv`).
-        let mut k = j + 1;
-        let mut saw_eq = false;
-        while let Some(&(_, x)) = body.get(k) {
-            if x.is_op(";") || k > j + 40 {
-                break;
-            }
-            if x.is_op("=") {
-                saw_eq = true;
-            }
-            if saw_eq && x.is_ident("with_capacity") {
-                return true;
-            }
-            k += 1;
-        }
-    }
-    false
+fn dominating_reservation(body: &[CodeTok<'_>], site: usize, recv: &str) -> bool {
+    let reserve = |x: &Token| RESERVE_METHODS.iter().any(|n| x.is_ident(n)) || x.is_ident("clear");
+    (0..site.saturating_sub(2))
+        .filter(|&j| body[j].1.is_ident(recv))
+        .any(|j| {
+            let called = body.get(j + 1).is_some_and(|&(_, x)| x.is_op("."))
+                && body.get(j + 2).is_some_and(|&(_, x)| reserve(x));
+            // `recv = … with_capacity(…) …;` (also covers `let mut recv`).
+            let stmt = body[j + 1..]
+                .iter()
+                .take(40)
+                .take_while(|(_, x)| !x.is_op(";"));
+            called
+                || stmt
+                    .skip_while(|(_, x)| !x.is_op("="))
+                    .any(|(_, x)| x.is_ident("with_capacity"))
+        })
 }
 
 /// True when `recv` is declared `recv: &[lifetime] mut …` in the
 /// signature — a caller-owned out-param.
-fn mut_out_param(sig: &[(usize, &Token)], recv: &str) -> bool {
-    for j in 0..sig.len() {
-        let Some(&(_, t)) = sig.get(j) else { continue };
-        if t.kind != TokKind::Ident || !t.is_ident(recv) {
-            continue;
-        }
-        if !sig.get(j + 1).is_some_and(|&(_, x)| x.is_op(":")) {
-            continue;
-        }
-        if !sig.get(j + 2).is_some_and(|&(_, x)| x.is_op("&")) {
-            continue;
-        }
-        let mut_near = (3..=4).any(|d| sig.get(j + d).is_some_and(|&(_, x)| x.is_ident("mut")));
-        if mut_near {
-            return true;
-        }
-    }
-    false
-}
-
-/// The tokens of the function signature: backwards from the body's
-/// opening brace to the nearest `fn` keyword.
-fn signature_tokens(tokens: &[Token], body_start: usize) -> Vec<(usize, &Token)> {
-    let mut fn_at = None;
-    let lo = body_start.saturating_sub(120);
-    for j in (lo..body_start).rev() {
-        if tokens.get(j).is_some_and(|t| t.is_ident("fn")) {
-            fn_at = Some(j);
-            break;
-        }
-    }
-    let Some(fn_at) = fn_at else {
-        return Vec::new();
-    };
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(o, t)| {
-            (fn_at..body_start).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
-        })
-        .collect()
+fn mut_out_param(sig: &[CodeTok<'_>], recv: &str) -> bool {
+    let is = |k: usize, pred: &dyn Fn(&Token) -> bool| sig.get(k).is_some_and(|&(_, x)| pred(x));
+    (0..sig.len()).any(|j| {
+        is(j, &|x| x.is_ident(recv))
+            && is(j + 1, &|x| x.is_op(":"))
+            && is(j + 2, &|x| x.is_op("&"))
+            && (3..=4).any(|d| is(j + d, &|x| x.is_ident("mut")))
+    })
 }
 
 // ---------------------------------------------------------------- R005
@@ -964,26 +639,12 @@ impl SemanticRule for CapacityDiscipline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::scan::scan;
-    use crate::symbols::SymbolTable;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     fn run(src: &str) -> (AllocAnalysis, Vec<String>) {
-        let scanned = vec![scan(
-            PathBuf::from("crates/x/src/lib.rs"),
-            "crates/x/src/lib.rs".into(),
-            src,
-        )];
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        let a = analyze(&ws, &Config::default());
-        let qnames = symbols.fns.iter().map(|f| f.qname.clone()).collect();
+        let t = TestWorkspace::new(&[("crates/x/src/lib.rs", src)]);
+        let a = analyze(&t.ws(), &Config::default());
+        let qnames = t.symbols.fns.iter().map(|f| f.qname.clone()).collect();
         (a, qnames)
     }
 
@@ -1150,6 +811,18 @@ fn out_param(xs: &[u32], out: &mut Vec<u32>) {
     }
 
     #[test]
+    fn long_signature_keeps_its_out_param() {
+        // A parameter list hundreds of tokens long: the signature is
+        // read in full, forwards from the `fn` keyword.
+        let params: String = (0..30).map(|i| format!("p{i}: &[u32], ")).collect();
+        let (a, _) = run(&format!(
+            "fn grow(out: &mut Vec<u32>, {params}) {{\n    for &x in p0 {{\n        out.push(x);\n    }}\n}}\n"
+        ));
+        assert!(a.capacity_findings.is_empty(), "{:?}", a.capacity_findings);
+        assert_eq!(a.stats.capacity_proven, 1);
+    }
+
+    #[test]
     fn self_field_growth_needs_mut_self() {
         let (a, _) = run("\
 struct Arena { nodes: Vec<u32> }
@@ -1167,9 +840,8 @@ impl Arena {
     #[test]
     fn hot_entry_points_restrict_the_bfs() {
         let cfg = Config::parse("[hot]\nentry_points = [\"x::hot\"]\n").expect("parses");
-        let scanned = vec![scan(
-            PathBuf::from("crates/x/src/lib.rs"),
-            "crates/x/src/lib.rs".into(),
+        let t = TestWorkspace::new(&[(
+            "crates/x/src/lib.rs",
             "\
 fn cold(xs: &[u32]) -> usize {
     let mut n = 0usize;
@@ -1186,15 +858,8 @@ fn hot(xs: &[u32]) -> usize {
     n
 }
 ",
-        )];
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        let a = analyze(&ws, &cfg);
+        )]);
+        let a = analyze(&t.ws(), &cfg);
         assert_eq!(a.stats.hot_entry_points, 1);
         assert!(a.hot_findings.is_empty(), "{:?}", a.hot_findings);
     }

@@ -12,8 +12,8 @@
 //! the safe direction for panic-reachability: we may report a chain
 //! that the borrow checker would rule out, but we never miss one.
 
-use crate::lexer::{TokKind, Token};
-use crate::scan::ScannedFile;
+use crate::lexer::TokKind;
+use crate::scan::{code_views, matching, path_back, span, CodeTok, ScannedFile};
 use crate::symbols::{normalize_crate_seg, FnSym, SymbolTable};
 
 /// One syntactic call site inside a function body.
@@ -52,29 +52,15 @@ impl CallGraph {
     /// Builds the graph; `files` must be the same slice the table was
     /// built from.
     pub fn build(table: &SymbolTable, files: &[ScannedFile]) -> CallGraph {
-        let mut calls = vec![Vec::new(); table.fns.len()];
-        for (id, f) in table.fns.iter().enumerate() {
-            let Some((start, end)) = f.body else { continue };
-            let Some(file) = files.get(f.file) else {
-                continue;
-            };
-            let body: Vec<(usize, &Token)> = file
-                .tokens
-                .iter()
-                .enumerate()
-                .take(end.min(file.tokens.len()))
-                .skip(start)
-                .filter(|(_, t)| {
-                    !matches!(
-                        t.kind,
-                        TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                    )
-                })
-                .collect();
-            if let Some(slot) = calls.get_mut(id) {
-                *slot = collect_calls(table, f, &body);
-            }
-        }
+        let views = code_views(files);
+        let calls = table
+            .fns
+            .iter()
+            .map(|f| match (f.body, views.get(f.file)) {
+                (Some((start, end)), Some(view)) => collect_calls(table, f, span(view, start, end)),
+                _ => Vec::new(),
+            })
+            .collect();
         CallGraph { calls }
     }
 
@@ -90,7 +76,7 @@ impl CallGraph {
 
 /// Scans one body's comment-free tokens (paired with their index in
 /// the file's full token stream) for call sites.
-fn collect_calls(table: &SymbolTable, caller: &FnSym, toks: &[(usize, &Token)]) -> Vec<Call> {
+fn collect_calls(table: &SymbolTable, caller: &FnSym, toks: &[CodeTok<'_>]) -> Vec<Call> {
     let mut out = Vec::new();
     for (j, (orig, t)) in toks.iter().enumerate() {
         if !t.is_op("(") || j == 0 {
@@ -102,7 +88,7 @@ fn collect_calls(table: &SymbolTable, caller: &FnSym, toks: &[(usize, &Token)]) 
             .get(k)
             .is_some_and(|(_, t)| matches!(t.text.as_str(), ">" | ">>"))
         {
-            let Some(open) = skip_angles_back(toks, k) else {
+            let Some(open) = matching(toks, k) else {
                 continue;
             };
             if open < 2 || !toks.get(open - 1).is_some_and(|(_, t)| t.is_op("::")) {
@@ -117,20 +103,7 @@ fn collect_calls(table: &SymbolTable, caller: &FnSym, toks: &[(usize, &Token)]) 
         if NON_CALL_KEYWORDS.contains(&name_tok.text.as_str()) {
             continue;
         }
-        // Collect `seg::seg::name` backwards.
-        let mut path = vec![name_tok.text.clone()];
-        let mut p = k;
-        while p >= 2
-            && toks.get(p - 1).is_some_and(|(_, t)| t.is_op("::"))
-            && toks
-                .get(p - 2)
-                .is_some_and(|(_, t)| t.kind == TokKind::Ident)
-        {
-            p -= 2;
-            if let Some((_, seg)) = toks.get(p) {
-                path.insert(0, seg.text.clone());
-            }
-        }
+        let (p, path) = path_back(toks, k, "::");
         let before = p.checked_sub(1).and_then(|q| toks.get(q));
         if before.is_some_and(|(_, t)| t.is_ident("fn")) {
             continue; // nested `fn` declaration, not a call
@@ -152,27 +125,6 @@ fn collect_calls(table: &SymbolTable, caller: &FnSym, toks: &[(usize, &Token)]) 
         });
     }
     out
-}
-
-/// From a closing `>`/`>>` at `close`, steps back to the index of the
-/// matching opening `<`; `None` when unbalanced.
-fn skip_angles_back(toks: &[(usize, &Token)], close: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut i = close;
-    loop {
-        let (_, t) = toks.get(i)?;
-        match t.text.as_str() {
-            ">" => depth += 1,
-            ">>" => depth += 2,
-            "<" => depth -= 1,
-            "<<" => depth -= 2,
-            _ => {}
-        }
-        if depth <= 0 {
-            return Some(i);
-        }
-        i = i.checked_sub(1)?;
-    }
 }
 
 /// Resolves a call path to candidate workspace functions.
@@ -342,17 +294,11 @@ fn resolve_bare(table: &SymbolTable, caller: &FnSym, name: &str) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     fn graph_of(files: &[(&str, &str)]) -> (SymbolTable, CallGraph) {
-        let scanned: Vec<ScannedFile> = files
-            .iter()
-            .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
-            .collect();
-        let table = SymbolTable::build(&scanned);
-        let graph = CallGraph::build(&table, &scanned);
-        (table, graph)
+        let t = TestWorkspace::new(files);
+        (t.symbols, t.calls)
     }
 
     fn callee_names(table: &SymbolTable, graph: &CallGraph, caller: &str) -> Vec<String> {

@@ -281,16 +281,9 @@ struct LoopCtx {
 
 // ----------------------------------------------------------- tokens
 
-fn is_comment(t: &Token) -> bool {
-    matches!(
-        t.kind,
-        TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-    )
-}
-
 /// First non-comment token index at or after `i`.
 fn skipc(t: &[Token], mut i: usize) -> usize {
-    while t.get(i).is_some_and(is_comment) {
+    while t.get(i).is_some_and(Token::is_comment) {
         i += 1;
     }
     i
@@ -329,7 +322,7 @@ fn scan_top(t: &[Token], i: usize, end: usize, pred: impl Fn(&Token) -> bool) ->
     let mut j = i;
     while j < end {
         if let Some(tok) = t.get(j) {
-            if !is_comment(tok) {
+            if !tok.is_comment() {
                 let s = tok.text.as_str();
                 if depth == 0 && pred(tok) {
                     return Some(j);
@@ -358,7 +351,7 @@ fn split_commas(t: &[Token], i: usize, end: usize) -> Vec<(usize, usize)> {
     let mut arg_open = true; // at the start of an argument
     while j < end {
         let Some(tok) = t.get(j) else { break };
-        if is_comment(tok) {
+        if tok.is_comment() {
             j += 1;
             continue;
         }
@@ -865,7 +858,7 @@ impl<'a> Analyzer<'a> {
         let assumed = parse_assumed(cfg);
         let mut call_map = BTreeMap::new();
         for (fid, f) in table.fns.iter().enumerate() {
-            for c in ws.calls.calls.get(fid).into_iter().flatten() {
+            for c in ws.calls_of(fid) {
                 if !c.callees.is_empty() {
                     call_map.insert((f.file, c.paren), c.callees.clone());
                 }
@@ -2178,7 +2171,7 @@ fn skipc_back(t: &[Token], lo: usize, hi: usize) -> usize {
     let mut j = hi;
     while j > lo {
         j -= 1;
-        if t.get(j).is_some_and(|x| !is_comment(x)) {
+        if t.get(j).is_some_and(|x| !x.is_comment()) {
             return j;
         }
     }
@@ -3521,25 +3514,13 @@ fn skip_angles(t: &[Token], open: usize, end: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     /// Builds a workspace over in-memory files and runs the dataflow
     /// with the given `lint.toml` text.
     fn run(files: &[(&str, &str)], toml: &str) -> DataflowResult {
-        let scanned: Vec<ScannedFile> = files
-            .iter()
-            .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).to_string(), src))
-            .collect();
-        let symbols = SymbolTable::build(&scanned);
-        let calls = crate::callgraph::CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
         let cfg = Config::parse(toml).expect("test config parses");
-        analyze(&ws, &cfg)
+        analyze(&TestWorkspace::new(files).ws(), &cfg)
     }
 
     fn messages(r: &DataflowResult) -> Vec<String> {

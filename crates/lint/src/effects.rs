@@ -7,11 +7,11 @@
 //! I/O (`.write_all(`, `.read_exact(`, `.flush(`, `.accept(`…),
 //! channel receives (`.recv()`, `.recv_timeout(`), `thread::sleep`,
 //! or an empty-argument `.join()` (thread join; `Path::join(arg)`
-//! takes arguments and never matches). The summary is lifted to a
-//! `may_block` bit over the call graph, and every guard scope computed
-//! by [`crate::locks`] is then checked: a direct blocking site or a
-//! call to a `may_block` function inside a live guard scope is a
-//! finding with an R001-style witness chain down to the concrete
+//! takes arguments and never matches). The [`crate::summary`] engine
+//! lifts the summary to a `may_block` bit over the call graph, and
+//! walks every guard scope computed by [`crate::locks`]: a direct
+//! blocking site or a call to a `may_block` function inside a live
+//! guard scope is a finding with a witness chain down to the concrete
 //! blocking operation. `Condvar::wait(guard)` atomically releases the
 //! guard for the duration of the wait, so waits on `Condvar`-typed
 //! fields are sanctioned, not findings.
@@ -25,35 +25,16 @@
 //! token-level over non-test code lines, with the mutation-token list
 //! overridable via `[rules.L008] mutation_tokens`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use crate::callgraph::Call;
 use crate::config::Config;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::TokKind;
 use crate::locks::{FnLocks, LockDecl};
 use crate::report::Diagnostic;
 use crate::rules::{code_lines, semantic_finding, token_positions, SemanticRule, Workspace};
-
-/// One direct blocking operation inside a function body.
-#[derive(Clone, Debug)]
-pub struct EffectSite {
-    /// Original token index of the site (for guard-scope containment).
-    pub pos: usize,
-    /// 1-based source line.
-    pub line: usize,
-    /// Human description, e.g. `std::fs::rename` or `.recv_timeout(…)`.
-    pub desc: String,
-}
-
-/// Per-workspace blocking-effect summaries.
-pub struct EffectSummaries {
-    /// `direct[fn]` = that fn's own blocking sites, in token order.
-    pub direct: Vec<Vec<EffectSite>>,
-    /// `may_block[fn]` = the fn, or anything it may call, blocks.
-    pub may_block: Vec<bool>,
-    /// For lifted bits: the call hop `(callee, line)` that introduced
-    /// blocking into a fn with no direct site of its own.
-    pub via: BTreeMap<usize, (usize, usize)>,
-}
+use crate::scan::{span, CodeTok};
+use crate::summary::{Hit, Site, Summary, Tally};
 
 /// Methods that block when invoked with any argument list.
 const BLOCKING_METHODS: &[(&str, &str)] = &[
@@ -76,78 +57,37 @@ const BLOCKING_METHODS: &[(&str, &str)] = &[
 /// over the call graph to a `may_block` fixpoint. Acquisition and
 /// condvar-wait call sites (`summaries[id].skip_parens`) are never
 /// effects and never propagation edges.
-pub fn summarize(ws: &Workspace<'_>, summaries: &[FnLocks]) -> EffectSummaries {
-    let n = ws.symbols.fns.len();
-    let mut direct: Vec<Vec<EffectSite>> = vec![Vec::new(); n];
-    for (id, f) in ws.symbols.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
-        let skip = summaries.get(id).map(|s| &s.skip_parens);
-        direct[id] = direct_effects(&file.tokens, start, end, skip);
-    }
-
-    let mut may_block: Vec<bool> = direct.iter().map(|d| !d.is_empty()).collect();
-    let mut via: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if may_block[id] || ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if summaries
-                    .get(id)
-                    .is_some_and(|s| s.skip_parens.contains(&call.paren))
-                {
-                    continue;
-                }
-                if let Some(&b) = call
-                    .callees
-                    .iter()
-                    .find(|&&c| may_block[c] && ws.symbols.fns.get(c).is_some_and(|f| !f.is_test))
-                {
-                    may_block[id] = true;
-                    via.insert(id, (b, call.line));
-                    changed = true;
-                    break;
-                }
-            }
-        }
-    }
-    EffectSummaries {
-        direct,
-        may_block,
-        via,
-    }
-}
-
-/// Token walk over one body range collecting blocking sites.
-fn direct_effects(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-    skip: Option<&BTreeSet<usize>>,
-) -> Vec<EffectSite> {
-    let toks: Vec<(usize, &Token)> = tokens
+pub fn summarize(
+    ws: &Workspace<'_>,
+    views: &[Vec<CodeTok<'_>>],
+    summaries: &[FnLocks],
+) -> Summary<bool> {
+    let direct = ws
+        .symbols
+        .fns
         .iter()
         .enumerate()
-        .filter(|(o, t)| {
-            (start..end).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
+        .map(|(id, f)| match (f.body, views.get(f.file)) {
+            (Some((start, end)), Some(view)) if !f.is_test => {
+                direct_effects(span(view, start, end), &summaries[id].skip_parens)
+            }
+            _ => Vec::new(),
         })
         .collect();
+    Summary::lift(ws, direct, |id, call| {
+        summaries[id].skip_parens.contains(&call.paren)
+    })
+}
+
+/// Token walk over one body collecting blocking sites.
+fn direct_effects(toks: &[CodeTok<'_>], skip: &BTreeSet<usize>) -> Vec<Site<bool>> {
     let mut out = Vec::new();
+    let site = |pos, line, desc| Site {
+        pos,
+        line,
+        desc,
+        fact: true,
+    };
     for j in 0..toks.len() {
         let (orig, t) = toks[j];
         // `std :: fs :: name` — any real-filesystem call blocks (and
@@ -158,11 +98,11 @@ fn direct_effects(
             && toks.get(j + 3).is_some_and(|(_, x)| x.is_op("::"))
         {
             let name = toks.get(j + 4).map(|(_, x)| x.text.as_str()).unwrap_or("…");
-            out.push(EffectSite {
-                pos: orig,
-                line: t.line,
-                desc: format!("std::fs::{name} touches the real filesystem"),
-            });
+            out.push(site(
+                orig,
+                t.line,
+                format!("std::fs::{name} touches the real filesystem"),
+            ));
             continue;
         }
         if !t.is_op("(") || j < 2 {
@@ -172,30 +112,23 @@ fn direct_effects(
         if m.kind != TokKind::Ident {
             continue;
         }
-        let dotted = toks.get(j - 2).is_some_and(|(_, x)| x.is_op("."));
-        let pathed = toks.get(j - 2).is_some_and(|(_, x)| x.is_op("::"));
-        if !dotted && !pathed {
+        let dotted = toks[j - 2].1.is_op(".");
+        if !dotted && !toks[j - 2].1.is_op("::") {
             continue;
         }
-        if skip.is_some_and(|s| s.contains(&orig)) {
+        if skip.contains(&orig) {
             continue; // lock acquisition or sanctioned condvar wait
         }
         // Thread join: `.join()` with an empty argument list. With
         // arguments it is `Path::join`/`Unit::join` — pure.
         if dotted && m.is_ident("join") && toks.get(j + 1).is_some_and(|(_, x)| x.is_op(")")) {
-            out.push(EffectSite {
-                pos: mpos,
-                line: m.line,
-                desc: "`.join()` blocks on thread completion".into(),
-            });
-            continue;
-        }
-        if let Some((_, why)) = BLOCKING_METHODS.iter().find(|(n, _)| m.is_ident(n)) {
-            out.push(EffectSite {
-                pos: mpos,
-                line: m.line,
-                desc: format!("`.{}(…)` {why}", m.text),
-            });
+            out.push(site(
+                mpos,
+                m.line,
+                "`.join()` blocks on thread completion".into(),
+            ));
+        } else if let Some((_, why)) = BLOCKING_METHODS.iter().find(|(n, _)| m.is_ident(n)) {
+            out.push(site(mpos, m.line, format!("`.{}(…)` {why}", m.text)));
         }
     }
     out
@@ -207,121 +140,58 @@ pub fn blocking_under_lock(
     ws: &Workspace<'_>,
     registry: &[LockDecl],
     summaries: &[FnLocks],
-    effects: &EffectSummaries,
+    effects: &Summary<bool>,
     out: &mut Vec<Diagnostic>,
     stats: &mut crate::locks::LockStats,
 ) {
-    let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+    let mut tally = Tally::default();
     for (id, s) in summaries.iter().enumerate() {
-        let Some(f) = ws.symbols.fns.get(id) else {
+        let Some(f) = ws.symbols.fns.get(id).filter(|f| !f.is_test) else {
             continue;
         };
-        if f.is_test {
-            continue;
-        }
         let Some(file) = ws.files.get(f.file) else {
             continue;
         };
         for a in &s.acquired {
-            let Some((lo, hi)) = a.scope else { continue };
+            let Some(scope) = a.scope else { continue };
             let held = &registry[a.lock].id;
-            // Obligation 1: no direct blocking site inside the scope.
-            for site in effects.direct.get(id).into_iter().flatten() {
-                if site.pos <= lo || site.pos >= hi {
-                    continue;
-                }
-                stats.effect_obligations += 1;
-                if !seen.insert((id, a.paren, site.pos)) {
-                    continue;
-                }
-                out.push(semantic_finding(
-                    "R004",
-                    "blocking-under-lock",
-                    file,
-                    site.line,
-                    format!(
-                        "{} while holding `{held}` (acquired line {}) — shrink the guard scope or drop before blocking",
-                        site.desc, a.line
+            let skip = |call: &Call| s.skip_parens.contains(&call.paren);
+            for hit in effects.scope_hits(ws, id, scope, a.paren, skip, &mut tally) {
+                let holds = format!("{} holds `{held}` ({}:{})", f.qname, file.rel, a.line);
+                let (line, message, chain) = match hit {
+                    Hit::Site(site) => (
+                        site.line,
+                        format!(
+                            "{} while holding `{held}` (acquired line {}) — shrink the guard scope or drop before blocking",
+                            site.desc, a.line
+                        ),
+                        format!("{holds} → {} (line {})", site.desc, site.line),
                     ),
-                    Some(format!(
-                        "{} holds `{held}` ({}:{}) → {} (line {})",
-                        f.qname, file.rel, a.line, site.desc, site.line
-                    )),
-                ));
-            }
-            // Obligation 2: no call inside the scope reaches blocking.
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if call.paren <= lo || call.paren >= hi || s.skip_parens.contains(&call.paren) {
-                    continue;
-                }
-                let interesting = call
-                    .callees
-                    .iter()
-                    .any(|&c| ws.symbols.fns.get(c).is_some_and(|x| !x.is_test));
-                if !interesting {
-                    continue;
-                }
-                stats.effect_obligations += 1;
-                let blocker = call.callees.iter().copied().find(|&c| {
-                    effects.may_block.get(c).copied().unwrap_or(false)
-                        && ws.symbols.fns.get(c).is_some_and(|x| !x.is_test)
-                });
-                let Some(blocker) = blocker else {
-                    stats.proven += 1;
-                    continue;
+                    Hit::Call(call, blocker) => {
+                        let (path, leaf) = effects.witness(ws, blocker, "blocking effect");
+                        (
+                            call.line,
+                            format!(
+                                "call may block ({leaf}) while holding `{held}` (acquired line {}) — drop the guard before I/O",
+                                a.line
+                            ),
+                            format!("{holds} → {path}"),
+                        )
+                    }
                 };
-                if !seen.insert((id, a.paren, call.paren)) {
-                    continue;
-                }
-                let (path, leaf) = blocking_path(ws, effects, blocker);
                 out.push(semantic_finding(
                     "R004",
                     "blocking-under-lock",
                     file,
-                    call.line,
-                    format!(
-                        "call may block ({leaf}) while holding `{held}` (acquired line {}) — drop the guard before I/O",
-                        a.line
-                    ),
-                    Some(format!(
-                        "{} holds `{held}` ({}:{}) → {path}",
-                        f.qname, file.rel, a.line
-                    )),
+                    line,
+                    message,
+                    Some(chain),
                 ));
             }
         }
     }
-}
-
-/// Renders `callee → … → concrete blocking op` following `via` hops.
-fn blocking_path(ws: &Workspace<'_>, effects: &EffectSummaries, mut id: usize) -> (String, String) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        if let Some(site) = effects.direct.get(id).and_then(|d| d.first()) {
-            let rel = ws
-                .symbols
-                .fns
-                .get(id)
-                .and_then(|f| ws.files.get(f.file))
-                .map(|x| x.rel.as_str())
-                .unwrap_or("");
-            let leaf = site.desc.clone();
-            hops.push(format!("{} ({rel}:{})", site.desc, site.line));
-            return (hops.join(" → "), leaf);
-        }
-        match effects.via.get(&id) {
-            Some(&(next, _)) => id = next,
-            None => break,
-        }
-    }
-    (hops.join(" → "), "blocking effect".into())
+    stats.effect_obligations += tally.obligations;
+    stats.proven += tally.proven;
 }
 
 // ---------------------------------------------------------------- R004
@@ -415,25 +285,11 @@ impl SemanticRule for VfsBypass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::scan::scan;
-    use crate::symbols::SymbolTable;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     fn run(src: &str) -> crate::locks::LockAnalysis {
-        let scanned = vec![scan(
-            PathBuf::from("crates/x/src/lib.rs"),
-            "crates/x/src/lib.rs".into(),
-            src,
-        )];
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        crate::locks::analyze(&ws, &Config::default())
+        let t = TestWorkspace::new(&[("crates/x/src/lib.rs", src)]);
+        crate::locks::analyze(&t.ws(), &Config::default())
     }
 
     #[test]
@@ -531,20 +387,9 @@ pub fn persist(path: &str, data: &[u8]) -> std::io::Result<()> {
     std::fs::write(path, data)
 }
 ";
-        let scanned = vec![scan(
-            PathBuf::from("crates/x/src/lib.rs"),
-            "crates/x/src/lib.rs".into(),
-            src,
-        )];
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
+        let t = TestWorkspace::new(&[("crates/x/src/lib.rs", src)]);
         let mut out = Vec::new();
-        VfsBypass.check(&ws, &Config::default(), &mut out);
+        VfsBypass.check(&t.ws(), &Config::default(), &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("fs::write"), "{:?}", out[0]);
     }

@@ -79,6 +79,14 @@ impl Token {
     pub fn is_op(&self, op: &str) -> bool {
         self.kind == TokKind::Op && self.text == op
     }
+
+    /// True for line and block comments of either flavour.
+    pub fn is_comment(&self) -> bool {
+        matches!(
+            self.kind,
+            TokKind::LineComment { .. } | TokKind::BlockComment { .. }
+        )
+    }
 }
 
 /// The integer type suffix of a numeric literal's spelling, if any

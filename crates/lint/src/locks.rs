@@ -24,8 +24,8 @@
 //!    that *return* a guard (`-> MutexGuard<…>`) are lock helpers: a
 //!    call to one is an acquisition at the call site, with the lock
 //!    taken from the helper's own summary or its lock-typed argument.
-//! 3. **Interprocedural lifting** — each function's transitively
-//!    acquired lock set is propagated over [`crate::callgraph`] to a
+//! 3. **Interprocedural lifting** — the [`crate::summary`] engine
+//!    lifts one acquisition bit per lock over [`crate::callgraph`] to a
 //!    fixpoint. Call edges that merely *are* an acquisition site
 //!    (`.lock()` resolving by method name to some workspace `fn lock`)
 //!    are skipped: the acquisition is modelled precisely above, and the
@@ -46,12 +46,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::Call;
 use crate::config::Config;
 use crate::effects;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::TokKind;
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
+use crate::scan::{code_views, matching, path_back, position, span, CodeTok};
+use crate::summary::{render, Site, Summary};
 
 /// What kind of synchronisation primitive a declaration is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,6 +118,8 @@ pub struct FnLocks {
     /// sites or condvar waits — their name-resolved call edges are
     /// artifacts and must not be lifted.
     pub skip_parens: BTreeSet<usize>,
+    /// Lock-typed parameters: `(param index, name, kind)`.
+    lock_params: Vec<(usize, String, LockKind)>,
 }
 
 /// One directed edge of the lock-order graph, with its witness.
@@ -188,26 +191,27 @@ impl SemanticRule for LockOrder {
 /// directly (like R002's `dataflow::analyze`) so R003 and R004 share
 /// one pass; the rule impls exist for `--list-rules` and direct tests.
 pub fn analyze(ws: &Workspace<'_>, _cfg: &Config) -> LockAnalysis {
-    let registry = build_registry(ws);
-    let condvars = condvar_fields(ws);
-    let mut summaries: Vec<FnLocks> = Vec::with_capacity(ws.symbols.fns.len());
+    let views = code_views(ws.files);
+    let registry = build_registry(&views);
+    let condvars = condvar_fields(&views);
     // Pass 1: signature-level facts (guard-returning helpers) plus
     // direct field/static/param acquisitions.
-    let mut direct: Vec<FnLocks> = Vec::new();
-    for (id, _) in ws.symbols.fns.iter().enumerate() {
-        direct.push(scan_fn(ws, id, &registry, &condvars));
-    }
+    let direct: Vec<FnLocks> = (0..ws.symbols.fns.len())
+        .map(|id| scan_fn(ws, &views, id, &registry, &condvars))
+        .collect();
     // Pass 2: add acquisitions made through guard-returning helpers,
     // now that every helper's summary is known.
-    for (id, _) in ws.symbols.fns.iter().enumerate() {
-        let mut s = direct[id].clone();
-        helper_acquisitions(ws, id, &registry, &direct, &mut s);
-        s.acquired.sort_by_key(|a| a.paren);
-        summaries.push(s);
-    }
+    let summaries: Vec<FnLocks> = (0..direct.len())
+        .map(|id| {
+            let mut s = direct[id].clone();
+            helper_acquisitions(ws, &views, id, &registry, &direct, &mut s);
+            s.acquired.sort_by_key(|a| a.paren);
+            s
+        })
+        .collect();
 
-    let trans = transitive_locks(ws, &summaries);
-    let effects = effects::summarize(ws, &summaries);
+    let trans = transitive_locks(ws, registry.len(), &summaries);
+    let effects = effects::summarize(ws, &views, &summaries);
     let edges = order_edges(ws, &registry, &summaries, &trans);
 
     let mut analysis = LockAnalysis {
@@ -238,23 +242,9 @@ pub fn analyze(ws: &Workspace<'_>, _cfg: &Config) -> LockAnalysis {
 
 // ------------------------------------------------------- lock registry
 
-/// Comment-free tokens of one file, with original indices.
-fn code_tokens(tokens: &[Token]) -> Vec<(usize, &Token)> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect()
-}
-
 /// True when the type tokens starting at `i` name a lock, looking
 /// through leading path segments (`std :: sync :: Mutex`).
-fn lock_ty_at(toks: &[(usize, &Token)], mut i: usize) -> Option<LockKind> {
+fn lock_ty_at(toks: &[CodeTok<'_>], mut i: usize) -> Option<LockKind> {
     for _ in 0..4 {
         let (_, t) = toks.get(i)?;
         if t.kind != TokKind::Ident {
@@ -275,22 +265,21 @@ fn lock_ty_at(toks: &[(usize, &Token)], mut i: usize) -> Option<LockKind> {
     None
 }
 
-/// Scans every file for lock-typed struct fields and statics.
-pub fn build_registry(ws: &Workspace<'_>) -> Vec<LockDecl> {
+/// Scans every file's view for lock-typed struct fields and statics.
+pub fn build_registry(views: &[Vec<CodeTok<'_>>]) -> Vec<LockDecl> {
     let mut out = Vec::new();
-    for (fidx, file) in ws.files.iter().enumerate() {
-        let toks = code_tokens(&file.tokens);
+    for (fidx, toks) in views.iter().enumerate() {
         let mut i = 0usize;
         while i < toks.len() {
             let (_, t) = toks[i];
             if t.is_ident("struct") {
-                scan_struct_fields(&toks, i, fidx, &mut out);
+                scan_struct_fields(toks, i, fidx, &mut out);
             } else if t.is_ident("static") {
                 // `static NAME : <lock type> = …`.
                 let name = toks.get(i + 1).filter(|(_, n)| n.kind == TokKind::Ident);
                 let colon = toks.get(i + 2).is_some_and(|(_, c)| c.is_op(":"));
                 if let (Some((_, name)), true) = (name, colon) {
-                    if let Some(kind) = lock_ty_at(&toks, i + 3) {
+                    if let Some(kind) = lock_ty_at(toks, i + 3) {
                         out.push(LockDecl {
                             id: name.text.clone(),
                             owner: None,
@@ -309,7 +298,7 @@ pub fn build_registry(ws: &Workspace<'_>) -> Vec<LockDecl> {
 }
 
 /// Registers the lock-typed fields of one `struct Name { … }`.
-fn scan_struct_fields(toks: &[(usize, &Token)], at: usize, fidx: usize, out: &mut Vec<LockDecl>) {
+fn scan_struct_fields(toks: &[CodeTok<'_>], at: usize, fidx: usize, out: &mut Vec<LockDecl>) {
     let Some((_, name)) = toks.get(at + 1).filter(|(_, t)| t.kind == TokKind::Ident) else {
         return;
     };
@@ -365,10 +354,9 @@ fn scan_struct_fields(toks: &[(usize, &Token)], at: usize, fidx: usize, out: &mu
 
 /// Names of struct fields declared as `Condvar` — their `.wait(…)`
 /// family atomically releases the guard passed in.
-pub fn condvar_fields(ws: &Workspace<'_>) -> BTreeSet<String> {
+pub fn condvar_fields(views: &[Vec<CodeTok<'_>>]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for file in ws.files {
-        let toks = code_tokens(&file.tokens);
+    for toks in views {
         for i in 0..toks.len() {
             let (_, t) = toks[i];
             if t.kind == TokKind::Ident
@@ -399,6 +387,7 @@ fn method_kind(name: &str) -> Option<LockKind> {
 /// facts, and condvar-wait sites.
 fn scan_fn(
     ws: &Workspace<'_>,
+    views: &[Vec<CodeTok<'_>>],
     id: usize,
     registry: &[LockDecl],
     condvars: &BTreeSet<String>,
@@ -407,17 +396,12 @@ fn scan_fn(
     let Some(f) = ws.symbols.fns.get(id) else {
         return s;
     };
-    let Some((start, end)) = f.body else { return s };
-    let Some(file) = ws.files.get(f.file) else {
+    let (Some((start, end)), Some(view)) = (f.body, views.get(f.file)) else {
         return s;
     };
-    let lock_params = lock_typed_params(file, start);
-    let returns_guard_ty = signature_returns_guard(file, start);
-
-    let toks: Vec<(usize, &Token)> = code_tokens(&file.tokens)
-        .into_iter()
-        .filter(|(o, _)| (start..end).contains(o))
-        .collect();
+    let sig = f.signature(view);
+    s.lock_params = lock_typed_params(sig);
+    let toks = span(view, start, end);
 
     let mut first_acq: Option<LockRef> = None;
     for j in 0..toks.len() {
@@ -446,11 +430,10 @@ fn scan_fn(
             continue;
         };
         let Some(lockref) = resolve_receiver(
-            ws,
             f.self_ty.as_deref(),
             registry,
-            &lock_params,
-            &toks,
+            &s.lock_params,
+            toks,
             j,
             kind,
         ) else {
@@ -461,7 +444,7 @@ fn scan_fn(
             first_acq = Some(lockref.clone());
         }
         if let LockRef::Concrete(lk) = lockref {
-            let scope = guard_scope(&toks, j, end);
+            let scope = guard_scope(toks, j, end);
             s.acquired.push(Acquisition {
                 lock: lk,
                 line: m.line,
@@ -470,10 +453,11 @@ fn scan_fn(
             });
         }
     }
-    if returns_guard_ty {
+    if returns_guard(sig) {
         // A helper that hands its guard out: prefer the lock-typed
         // parameter (generic helpers), else the first acquisition.
-        s.returns_guard = lock_params
+        s.returns_guard = s
+            .lock_params
             .first()
             .map(|&(i, _, _)| LockRef::Param(i))
             .or(first_acq);
@@ -485,21 +469,23 @@ fn scan_fn(
     s
 }
 
-/// Lock-typed parameters of the fn whose body starts at token `start`:
-/// `(param index, name, kind)`.
-fn lock_typed_params(
-    file: &crate::scan::ScannedFile,
-    body_start: usize,
-) -> Vec<(usize, String, LockKind)> {
-    let toks = code_tokens(&file.tokens);
-    let Some(body_pos) = toks.iter().position(|(o, _)| *o == body_start) else {
-        return Vec::new();
-    };
-    // Walk back to the parameter list's `(` … `)` for this fn.
-    let Some(close) = rev_find_params_close(&toks, body_pos) else {
-        return Vec::new();
-    };
-    let Some(open) = matching_open(&toks, close) else {
+/// The parameter list of signature `sig` (`fn name [<…>] ( … )`) as
+/// the positions of its parens.
+fn params(sig: &[CodeTok<'_>]) -> Option<(usize, usize)> {
+    let mut open = 2;
+    if sig.get(open)?.1.is_op("<") {
+        open = matching(sig, open)? + 1;
+    }
+    if !sig.get(open)?.1.is_op("(") {
+        return None;
+    }
+    Some((open, matching(sig, open)?))
+}
+
+/// Lock-typed parameters of signature `toks`: `(param index, name,
+/// kind)`.
+fn lock_typed_params(toks: &[CodeTok<'_>]) -> Vec<(usize, String, LockKind)> {
+    let Some((open, close)) = params(toks) else {
         return Vec::new();
     };
     let mut out = Vec::new();
@@ -527,7 +513,7 @@ fn lock_typed_params(
             }) {
                 k += 1;
             }
-            if let Some(kind) = lock_ty_at(&toks, k) {
+            if let Some(kind) = lock_ty_at(toks, k) {
                 out.push((idx, t.text.clone(), kind));
             }
         }
@@ -536,114 +522,46 @@ fn lock_typed_params(
     out
 }
 
-/// From the body-`{` position, walks back to the fn's parameter-list
-/// closing `)`, skipping a `-> Type` return clause and `where` bounds.
-fn rev_find_params_close(toks: &[(usize, &Token)], body_pos: usize) -> Option<usize> {
-    let mut i = body_pos.checked_sub(1)?;
-    let mut depth = 0i64;
-    loop {
-        let (_, t) = toks.get(i)?;
-        match t.text.as_str() {
-            ")" if depth == 0 => return Some(i),
-            ")" | "]" | "}" => depth -= 1,
-            "(" | "[" | "{" => depth += 1,
-            "fn" | ";" => return None,
-            _ => {}
-        }
-        i = i.checked_sub(1)?;
-    }
-}
-
-/// Index of the `(` matching the `)` at `close`.
-fn matching_open(toks: &[(usize, &Token)], close: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut i = close;
-    loop {
-        let (_, t) = toks.get(i)?;
-        match t.text.as_str() {
-            ")" => depth += 1,
-            "(" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-        i = i.checked_sub(1)?;
-    }
-}
-
-/// True when the fn's declared return type names a guard.
-fn signature_returns_guard(file: &crate::scan::ScannedFile, body_start: usize) -> bool {
-    let toks = code_tokens(&file.tokens);
-    let Some(body_pos) = toks.iter().position(|(o, _)| *o == body_start) else {
+/// True when signature `sig` declares a guard-typed return.
+fn returns_guard(sig: &[CodeTok<'_>]) -> bool {
+    let Some((_, close)) = params(sig) else {
         return false;
     };
-    // Scan back to `->`, stopping at the params `)` boundary walk.
-    let mut i = body_pos;
-    while i > 0 {
-        i -= 1;
-        let (_, t) = toks[i];
-        match t.text.as_str() {
-            "->" => {
-                return (i + 1..body_pos).any(|k| {
-                    matches!(
-                        toks[k].1.text.as_str(),
-                        "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
-                    )
-                })
-            }
-            "{" | "}" | ";" | "fn" => return false,
-            _ => {}
-        }
-    }
-    false
+    sig.get(close + 1).is_some_and(|(_, t)| t.is_op("->"))
+        && sig[close + 1..].iter().any(|(_, t)| {
+            matches!(
+                t.text.as_str(),
+                "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
+            )
+        })
 }
 
 /// Resolves the receiver of `….m(` (the `(` at comment-free index `j`)
 /// to a lock. The receiver chain ends at `j - 3`.
 fn resolve_receiver(
-    ws: &Workspace<'_>,
     self_ty: Option<&str>,
     registry: &[LockDecl],
     lock_params: &[(usize, String, LockKind)],
-    toks: &[(usize, &Token)],
+    toks: &[CodeTok<'_>],
     j: usize,
     kind: LockKind,
 ) -> Option<LockRef> {
-    let (_, last) = toks.get(j.wrapping_sub(3))?;
-    if last.kind != TokKind::Ident {
+    if toks.get(j.wrapping_sub(3))?.1.kind != TokKind::Ident {
         return None;
     }
-    // Chain walk: `a . b . last`.
-    let mut chain = vec![last.text.clone()];
-    let mut p = j - 3;
-    while p >= 2
-        && toks.get(p - 1).is_some_and(|(_, t)| t.is_op("."))
-        && toks
-            .get(p - 2)
-            .is_some_and(|(_, t)| t.kind == TokKind::Ident)
-    {
-        p -= 2;
-        if let Some((_, seg)) = toks.get(p) {
-            chain.insert(0, seg.text.clone());
-        }
-    }
-    resolve_lock_path(ws, self_ty, registry, lock_params, &chain, kind)
+    let (_, chain) = path_back(toks, j - 3, ".");
+    resolve_lock_path(self_ty, registry, lock_params, &chain, kind)
 }
 
 /// Resolves an ident chain (`self.state`, `ctx.degraded`, `A`, `m`) to
 /// a lock of the right kind.
 fn resolve_lock_path(
-    ws: &Workspace<'_>,
     self_ty: Option<&str>,
     registry: &[LockDecl],
     lock_params: &[(usize, String, LockKind)],
     chain: &[String],
     kind: LockKind,
 ) -> Option<LockRef> {
-    let _ = ws;
     let last = chain.last()?;
     if chain.len() == 1 {
         // A lock-typed parameter (`m.lock()` in a helper)…
@@ -683,7 +601,7 @@ fn resolve_lock_path(
 /// Computes the guard's live token range for the acquisition whose `(`
 /// sits at comment-free index `j`. Returns `[start, end)` in original
 /// token indices, or `None` when the guard is returned.
-fn guard_scope(toks: &[(usize, &Token)], j: usize, body_end: usize) -> Option<(usize, usize)> {
+fn guard_scope(toks: &[CodeTok<'_>], j: usize, body_end: usize) -> Option<(usize, usize)> {
     let start_orig = toks[j].0;
     // Is the acquisition inside a `let` statement? Walk back to the
     // statement start (a `;`, `{`, or `}` at depth 0).
@@ -773,6 +691,7 @@ fn guard_scope(toks: &[(usize, &Token)], j: usize, body_end: usize) -> Option<(u
 /// Adds acquisitions made through calls to guard-returning helpers.
 fn helper_acquisitions(
     ws: &Workspace<'_>,
+    views: &[Vec<CodeTok<'_>>],
     id: usize,
     registry: &[LockDecl],
     direct: &[FnLocks],
@@ -781,17 +700,11 @@ fn helper_acquisitions(
     let Some(f) = ws.symbols.fns.get(id) else {
         return;
     };
-    let Some((_, body_end)) = f.body else { return };
-    let Some(file) = ws.files.get(f.file) else {
+    let (Some((start, body_end)), Some(view)) = (f.body, views.get(f.file)) else {
         return;
     };
-    let lock_params = lock_typed_params(file, f.body.map(|(s, _)| s).unwrap_or(0));
-    let toks: Vec<(usize, &Token)> = code_tokens(&file.tokens)
-        .into_iter()
-        .filter(|(o, _)| f.body.is_some_and(|(st, en)| (st..en).contains(o)))
-        .collect();
-    let calls: &[Call] = ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]);
-    for call in calls {
+    let toks = span(view, start, body_end);
+    for call in ws.calls_of(id) {
         if s.skip_parens.contains(&call.paren) {
             continue; // already modelled as a direct acquisition
         }
@@ -804,21 +717,20 @@ fn helper_acquisitions(
         let lock = match ret {
             LockRef::Concrete(l) => Some(l),
             LockRef::Param(i) => argument_lock(
-                ws,
                 f.self_ty.as_deref(),
                 registry,
-                &lock_params,
-                &toks,
+                &s.lock_params,
+                toks,
                 call.paren,
                 i,
             ),
         };
         let Some(lock) = lock else { continue };
         s.skip_parens.insert(call.paren);
-        let Some(j) = toks.iter().position(|(o, _)| *o == call.paren) else {
+        let Some(j) = position(toks, call.paren) else {
             continue;
         };
-        let scope = guard_scope(&toks, j, body_end);
+        let scope = guard_scope(toks, j, body_end);
         s.acquired.push(Acquisition {
             lock,
             line: call.line,
@@ -831,15 +743,14 @@ fn helper_acquisitions(
 /// Resolves the `i`-th argument of the call whose `(` has original
 /// token index `paren` to a registered lock (`&self.state`, `&A`…).
 fn argument_lock(
-    ws: &Workspace<'_>,
     self_ty: Option<&str>,
     registry: &[LockDecl],
     lock_params: &[(usize, String, LockKind)],
-    toks: &[(usize, &Token)],
+    toks: &[CodeTok<'_>],
     paren: usize,
     i: usize,
 ) -> Option<usize> {
-    let open = toks.iter().position(|(o, _)| *o == paren)?;
+    let open = position(toks, paren)?;
     let mut depth = 0i64;
     let mut arg = 0usize;
     let mut chain: Vec<String> = Vec::new();
@@ -878,7 +789,7 @@ fn argument_lock(
     // The helper accepts either kind; try both.
     for kind in [LockKind::Mutex, LockKind::RwLock] {
         if let Some(LockRef::Concrete(l)) =
-            resolve_lock_path(ws, self_ty, registry, lock_params, &chain, kind)
+            resolve_lock_path(self_ty, registry, lock_params, &chain, kind)
         {
             return Some(l);
         }
@@ -888,97 +799,32 @@ fn argument_lock(
 
 // --------------------------------------------- interprocedural lifting
 
-/// Transitively acquired lock sets per fn, with, for each `(fn, lock)`,
-/// the callee hop it arrived through (for witness chains).
-pub struct TransLocks {
-    /// `sets[fn]` = locks acquired by `fn` or anything it may call.
-    pub sets: Vec<BTreeSet<usize>>,
-    /// `(fn, lock)` → the call hop `(callee, line)` that introduced it;
-    /// absent when the fn acquires the lock directly.
-    pub via: BTreeMap<(usize, usize), (usize, usize)>,
-}
-
-/// Fixpoint over the call graph. Non-test fns only: a test helper
-/// locking something is not part of the product's lock discipline.
-fn transitive_locks(ws: &Workspace<'_>, summaries: &[FnLocks]) -> TransLocks {
-    let n = ws.symbols.fns.len();
-    let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut via: BTreeMap<(usize, usize), (usize, usize)> = BTreeMap::new();
-    for (id, s) in summaries.iter().enumerate() {
-        for a in &s.acquired {
-            sets[id].insert(a.lock);
-        }
-    }
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            let mut add: Vec<(usize, (usize, usize))> = Vec::new();
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if summaries
-                    .get(id)
-                    .is_some_and(|s| s.skip_parens.contains(&call.paren))
-                {
-                    continue;
-                }
-                for &callee in &call.callees {
-                    if ws.symbols.fns.get(callee).is_some_and(|f| f.is_test) {
-                        continue;
-                    }
-                    for &l in &sets[callee] {
-                        if !sets[id].contains(&l) {
-                            add.push((l, (callee, call.line)));
-                        }
-                    }
-                }
-            }
-            for (l, hop) in add {
-                if sets[id].insert(l) {
-                    via.insert((id, l), hop);
-                    changed = true;
-                }
-            }
-        }
-    }
-    TransLocks { sets, via }
-}
-
-/// Renders the call path from `fn_id` down to wherever `lock` is
-/// directly acquired, following `via` hops.
-pub fn acquisition_path(
-    ws: &Workspace<'_>,
-    trans: &TransLocks,
-    summaries: &[FnLocks],
-    mut fn_id: usize,
-    lock: usize,
-) -> (String, usize, usize) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(fn_id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        if let Some(a) = summaries
-            .get(fn_id)
-            .and_then(|s| s.acquired.iter().find(|a| a.lock == lock))
-        {
-            let file = ws.symbols.fns.get(fn_id).map(|f| f.file).unwrap_or(0);
-            return (hops.join(" → "), file, a.line);
-        }
-        match trans.via.get(&(fn_id, lock)) {
-            Some(&(callee, _line)) => fn_id = callee,
-            None => break,
-        }
-    }
-    (hops.join(" → "), 0, 0)
+/// One acquisition summary per registered lock, lifted over the call
+/// graph: `trans[lock].effect[fn]` is set when `fn` or anything it may
+/// call acquires `lock`, and its `via` hops lead to the acquisition.
+/// Acquisition and condvar-wait call sites are not propagation edges.
+fn transitive_locks(ws: &Workspace<'_>, locks: usize, summaries: &[FnLocks]) -> Vec<Summary<bool>> {
+    (0..locks)
+        .map(|lock| {
+            let direct = summaries
+                .iter()
+                .map(|s| {
+                    let acquired = s.acquired.iter().filter(|a| a.lock == lock);
+                    acquired
+                        .map(|a| Site {
+                            pos: a.paren,
+                            line: a.line,
+                            desc: String::new(),
+                            fact: true,
+                        })
+                        .collect()
+                })
+                .collect();
+            Summary::lift(ws, direct, |id, call| {
+                summaries[id].skip_parens.contains(&call.paren)
+            })
+        })
+        .collect()
 }
 
 // ------------------------------------------------- the lock-order graph
@@ -989,7 +835,7 @@ fn order_edges(
     ws: &Workspace<'_>,
     registry: &[LockDecl],
     summaries: &[FnLocks],
-    trans: &TransLocks,
+    trans: &[Summary<bool>],
 ) -> Vec<LockEdge> {
     let mut edges: BTreeMap<(usize, usize), LockEdge> = BTreeMap::new();
     for (id, s) in summaries.iter().enumerate() {
@@ -1002,7 +848,7 @@ fn order_edges(
         for a in &s.acquired {
             let Some((lo, hi)) = a.scope else { continue };
             let held = &registry[a.lock].id;
-            let rel = ws.files.get(f.file).map(|x| x.rel.as_str()).unwrap_or("");
+            let rel = ws.rel_of(id);
             // Other direct acquisitions inside the guard's scope.
             for b in &s.acquired {
                 if b.paren > lo && b.paren < hi && b.paren != a.paren {
@@ -1020,28 +866,29 @@ fn order_edges(
                 }
             }
             // Calls inside the scope: everything the callee may lock.
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
+            for call in ws.calls_of(id) {
                 if call.paren <= lo || call.paren >= hi || s.skip_parens.contains(&call.paren) {
                     continue;
                 }
-                for &callee in &call.callees {
-                    if ws.symbols.fns.get(callee).is_some_and(|x| x.is_test) {
-                        continue;
-                    }
-                    for &l in trans.sets.get(callee).into_iter().flatten() {
-                        let (path, pfile, pline) =
-                            acquisition_path(ws, trans, summaries, callee, l);
-                        let prel = ws.files.get(pfile).map(|x| x.rel.as_str()).unwrap_or("");
-                        let to = &registry[l].id;
-                        edges.entry((a.lock, l)).or_insert_with(|| LockEdge {
-                            from: a.lock,
-                            to: l,
-                            witness: format!(
-                                "{} holds `{held}` ({rel}:{}) → {path} acquires `{to}` ({prel}:{pline})",
-                                f.qname, a.line
-                            ),
-                            file: f.file,
-                            line: a.line,
+                for &callee in call.callees.iter().filter(|&&c| ws.non_test(c)) {
+                    for (l, t) in trans.iter().enumerate().filter(|(_, t)| t.effect[callee]) {
+                        edges.entry((a.lock, l)).or_insert_with(|| {
+                            let (hops, site) = t.path_down(ws, callee);
+                            LockEdge {
+                                from: a.lock,
+                                to: l,
+                                witness: format!(
+                                    "{} holds `{held}` ({rel}:{}) → {} acquires `{}` ({}:{})",
+                                    f.qname,
+                                    a.line,
+                                    render(ws, &hops),
+                                    registry[l].id,
+                                    ws.rel_of(*hops.last().unwrap_or(&callee)),
+                                    site.map_or(0, |a| a.line)
+                                ),
+                                file: f.file,
+                                line: a.line,
+                            }
                         });
                     }
                 }
@@ -1149,24 +996,10 @@ fn emit_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::scan::{scan, ScannedFile};
-    use crate::symbols::SymbolTable;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     fn run(files: &[(&str, &str)]) -> LockAnalysis {
-        let scanned: Vec<ScannedFile> = files
-            .iter()
-            .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
-            .collect();
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        analyze(&ws, &Config::default())
+        analyze(&TestWorkspace::new(files).ws(), &Config::default())
     }
 
     const CYCLE: &str = "\
@@ -1201,19 +1034,13 @@ struct Cell { inner: RwLock<u32>, tag: String }
 struct Queue { state: Mutex<u32>, cv: Condvar }
 static GLOBAL: Mutex<u8> = Mutex::new(0);
 ";
-        let scanned = vec![scan(PathBuf::from("x.rs"), "x.rs".into(), src)];
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        let reg = build_registry(&ws);
+        let t = TestWorkspace::new(&[("x.rs", src)]);
+        let views = code_views(&t.files);
+        let reg = build_registry(&views);
         let ids: Vec<&str> = reg.iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, ["Cell.inner", "Queue.state", "GLOBAL"], "{reg:?}");
         assert_eq!(reg[0].kind, LockKind::RwLock);
-        assert!(condvar_fields(&ws).contains("cv"));
+        assert!(condvar_fields(&views).contains("cv"));
     }
 
     #[test]

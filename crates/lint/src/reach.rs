@@ -22,8 +22,7 @@
 //! Because the call graph over-approximates (see `callgraph`), a clean
 //! run is a proof; a finding is a lead that names its witness chain.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::config::Config;
 use crate::report::Diagnostic;
@@ -31,6 +30,7 @@ use crate::rules::{
     arith_sites, code_lines, literal_index_positions, semantic_finding, token_positions,
     SemanticRule, Workspace, PANIC_TOKENS,
 };
+use crate::summary::{path_up, reachable, render};
 
 /// Entry points assumed when `lint.toml` has no `[reach]` section.
 const DEFAULT_ENTRY_POINTS: &[&str] = &["cli::main"];
@@ -56,36 +56,17 @@ impl SemanticRule for PanicReach {
             configured.to_vec()
         };
 
-        // Breadth-first reachability with parent pointers. The parent
-        // map doubles as the visited set; roots map to `None`.
-        let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-        let mut entry_label: BTreeMap<usize, String> = BTreeMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        // Each root is labelled with the first entry point naming it;
+        // every fn reached inherits its root's label.
+        let mut label: BTreeMap<usize, &str> = BTreeMap::new();
+        let mut roots = Vec::new();
         for entry in &entries {
             for id in ws.symbols.find_by_suffix(entry) {
-                if ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                    continue;
-                }
-                if let Entry::Vacant(slot) = parent.entry(id) {
-                    slot.insert(None);
-                    entry_label.insert(id, entry.clone());
-                    queue.push_back(id);
-                }
+                label.entry(id).or_insert(entry);
+                roots.push(id);
             }
         }
-        while let Some(cur) = queue.pop_front() {
-            let inherited = entry_label.get(&cur).cloned().unwrap_or_default();
-            for (callee, _line, _expr) in ws.calls.edges(cur) {
-                if parent.contains_key(&callee)
-                    || ws.symbols.fns.get(callee).is_some_and(|f| f.is_test)
-                {
-                    continue;
-                }
-                parent.insert(callee, Some(cur));
-                entry_label.insert(callee, inherited.clone());
-                queue.push_back(callee);
-            }
-        }
+        let parent = reachable(ws, roots);
 
         for (fidx, file) in ws.files.iter().enumerate() {
             for (line_no, what, owner) in panic_sites(file, cfg) {
@@ -105,8 +86,12 @@ impl SemanticRule for PanicReach {
                 if !parent.contains_key(&fn_id) {
                     continue;
                 }
-                let chain = build_chain(ws, &parent, fn_id);
-                let entry = entry_label.get(&fn_id).cloned().unwrap_or_default();
+                let path = path_up(&parent, fn_id);
+                let entry = path
+                    .first()
+                    .and_then(|root| label.get(root))
+                    .copied()
+                    .unwrap_or("");
                 out.push(semantic_finding(
                     self.id(),
                     self.name(),
@@ -115,7 +100,7 @@ impl SemanticRule for PanicReach {
                     format!(
                         "{what} is reachable from entry `{entry}` — make the path total or pragma the site with a reason"
                     ),
-                    Some(chain),
+                    Some(render(ws, &path)),
                 ));
             }
         }
@@ -171,54 +156,14 @@ fn enclosing_fn(ws: &Workspace<'_>, fidx: usize, line: usize) -> Option<usize> {
     best.map(|(_, id)| id)
 }
 
-/// Renders the `entry → … → site_fn` chain by walking parent pointers.
-fn build_chain(
-    ws: &Workspace<'_>,
-    parent: &BTreeMap<usize, Option<usize>>,
-    mut fn_id: usize,
-) -> String {
-    let mut names: Vec<String> = Vec::new();
-    // The parent map is acyclic by construction (BFS tree), but cap the
-    // walk anyway so a future bug cannot loop forever.
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(fn_id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        names.push(name);
-        match parent.get(&fn_id) {
-            Some(Some(up)) => fn_id = *up,
-            _ => break,
-        }
-    }
-    names.reverse();
-    names.join(" → ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::scan::{scan, ScannedFile};
-    use crate::symbols::SymbolTable;
-    use std::path::PathBuf;
+    use crate::rules::tests::TestWorkspace;
 
     fn check_reach(cfg: &Config, files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let scanned: Vec<ScannedFile> = files
-            .iter()
-            .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
-            .collect();
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
         let mut out = Vec::new();
-        PanicReach.check(&ws, cfg, &mut out);
+        PanicReach.check(&TestWorkspace::new(files).ws(), cfg, &mut out);
         out
     }
 

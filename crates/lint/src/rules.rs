@@ -48,11 +48,11 @@
 //! suppressed per line (or per file) with
 //! `// lint: allow(<rule>, reason = "...")`.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{Call, CallGraph};
 use crate::config::Config;
 use crate::lexer::{int_suffix, TokKind, Token};
 use crate::report::{Diagnostic, Severity};
-use crate::scan::ScannedFile;
+use crate::scan::{matching, position, CodeTok, ScannedFile};
 use crate::symbols::{FnSym, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,6 +89,28 @@ pub struct Workspace<'a> {
     pub symbols: &'a SymbolTable,
     /// The intra-workspace call graph (same fn indexing as `symbols`).
     pub calls: &'a CallGraph,
+}
+
+impl Workspace<'_> {
+    /// True for a known non-test function.
+    pub fn non_test(&self, id: usize) -> bool {
+        self.symbols.fns.get(id).is_some_and(|f| !f.is_test)
+    }
+
+    /// The call sites of function `id`, in source order.
+    pub fn calls_of(&self, id: usize) -> &[Call] {
+        self.calls.calls.get(id).map_or(&[], Vec::as_slice)
+    }
+
+    /// The workspace-relative path of the file declaring function `id`.
+    pub fn rel_of(&self, id: usize) -> &str {
+        let file = self
+            .symbols
+            .fns
+            .get(id)
+            .and_then(|f| self.files.get(f.file));
+        file.map_or("", |x| x.rel.as_str())
+    }
 }
 
 /// A lint rule over the whole workspace at once — for contracts that a
@@ -147,26 +169,10 @@ pub(crate) fn semantic_finding(
     }
 }
 
-/// Builds a finding with the file/line context filled in. Severity
-/// starts at `Deny`; the engine re-maps it from the CLI flags.
+/// Builds a lexical-rule finding with the file/line context filled in.
+/// Severity starts at `Deny`; the engine re-maps it from the CLI flags.
 fn finding(rule: &dyn Rule, file: &ScannedFile, line: usize, message: String) -> Diagnostic {
-    let snippet = file
-        .lines
-        .get(line.saturating_sub(1))
-        .map(|l| l.code.trim().to_string())
-        .unwrap_or_default();
-    Diagnostic {
-        rule: rule.id().to_string(),
-        name: rule.name(),
-        rel: file.rel.clone(),
-        line,
-        message,
-        snippet,
-        chain: None,
-        severity: Severity::Deny,
-        suppressed: false,
-        discharged_by: None,
-    }
+    semantic_finding(rule.id(), rule.name(), file, line, message, None)
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -636,16 +642,7 @@ const EXPR_BREAK_KEYWORDS: &[&str] = &[
 /// Arithmetic panic/overflow sites in one file as `(line, what)`.
 /// Shared between the L006 rule and R001 panic-reachability.
 pub(crate) fn arith_sites(file: &ScannedFile) -> Vec<(usize, String)> {
-    let toks: Vec<&Token> = file
-        .tokens
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect();
+    let toks: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
 
     // Names declared with an explicitly sized type (`x: u8` covers
     // locals, params, and struct fields) or `let`-bound to a
@@ -819,7 +816,7 @@ impl SemanticRule for DiscardedResults {
     fn check(&self, ws: &Workspace<'_>, _cfg: &Config, out: &mut Vec<Diagnostic>) {
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         // Comment-free token views, built lazily once per file.
-        let mut views: BTreeMap<usize, Vec<(usize, &Token)>> = BTreeMap::new();
+        let mut views: BTreeMap<usize, Vec<CodeTok<'_>>> = BTreeMap::new();
         for (id, f) in ws.symbols.fns.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -827,7 +824,7 @@ impl SemanticRule for DiscardedResults {
             let Some(file) = ws.files.get(f.file) else {
                 continue;
             };
-            for call in ws.calls.calls.get(id).into_iter().flatten() {
+            for call in ws.calls_of(id) {
                 let candidates: Vec<&FnSym> = call
                     .callees
                     .iter()
@@ -848,19 +845,8 @@ impl SemanticRule for DiscardedResults {
                 if line.in_test {
                     continue;
                 }
-                let toks = views.entry(f.file).or_insert_with(|| {
-                    file.tokens
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| {
-                            !matches!(
-                                t.kind,
-                                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                            )
-                        })
-                        .collect()
-                });
-                let Ok(pos) = toks.binary_search_by_key(&call.paren, |&(o, _)| o) else {
+                let toks = views.entry(f.file).or_insert_with(|| file.code_tokens());
+                let Some(pos) = position(toks, call.paren) else {
                     continue;
                 };
                 let (stmt_start, saw_eq) = stmt_context(toks, pos);
@@ -899,7 +885,7 @@ impl SemanticRule for DiscardedResults {
 /// statement. Returns `(statement start index, saw a bare depth-0 `=`)`.
 /// Closers passed on the way (a preceding `{ … }` block, a closure
 /// body) are skipped as balanced groups so their `;`/`=` don't count.
-fn stmt_context(toks: &[(usize, &Token)], pos: usize) -> (usize, bool) {
+fn stmt_context(toks: &[CodeTok<'_>], pos: usize) -> (usize, bool) {
     let mut depth = 0i64;
     let mut saw_eq = false;
     let mut j = pos;
@@ -926,8 +912,9 @@ fn stmt_context(toks: &[(usize, &Token)], pos: usize) -> (usize, bool) {
 /// `;` — i.e. the `Result` is converted to an `Option` and dropped.
 /// Works on the token stream, so a chain wrapped across lines is seen
 /// whole.
-fn trailing_ok_discard(toks: &[(usize, &Token)], open: usize) -> bool {
-    let Some(mut j) = skip_parens(toks, open) else {
+fn trailing_ok_discard(toks: &[CodeTok<'_>], open: usize) -> bool {
+    let past = |at: usize| matching(toks, at).map(|close| close + 1);
+    let Some(mut j) = past(open) else {
         return false;
     };
     let mut last_is_ok = false;
@@ -945,14 +932,14 @@ fn trailing_ok_discard(toks: &[(usize, &Token)], open: usize) -> bool {
                 if toks.get(after).is_some_and(|(_, t)| t.is_op("::"))
                     && toks.get(after + 1).is_some_and(|(_, t)| t.is_op("<"))
                 {
-                    match skip_angles(toks, after + 1) {
+                    match past(after + 1) {
                         Some(n) => after = n,
                         None => return false,
                     }
                 }
                 if toks.get(after).is_some_and(|(_, t)| t.is_op("(")) {
                     last_is_ok = name.text == "ok" && after == j + 2;
-                    match skip_parens(toks, after) {
+                    match past(after) {
                         Some(n) => j = n,
                         None => return false,
                     }
@@ -971,51 +958,46 @@ fn trailing_ok_discard(toks: &[(usize, &Token)], open: usize) -> bool {
     }
 }
 
-/// Index just past the `)` matching the `(` at `open`; `None` when the
-/// group never closes.
-fn skip_parens(toks: &[(usize, &Token)], open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = open;
-    while let Some((_, t)) = toks.get(j) {
-        if t.is_op("(") {
-            depth += 1;
-        } else if t.is_op(")") {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j + 1);
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Index just past the `>`/`>>` closing the `<` at `open`; `None` when
-/// unbalanced.
-fn skip_angles(toks: &[(usize, &Token)], open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = open;
-    while let Some((_, t)) = toks.get(j) {
-        match t.text.as_str() {
-            "<" => depth += 1,
-            "<<" => depth += 2,
-            ">" => depth -= 1,
-            ">>" => depth -= 2,
-            _ => {}
-        }
-        if depth <= 0 {
-            return Some(j + 1);
-        }
-        j += 1;
-    }
-    None
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scan::scan;
     use std::path::PathBuf;
+
+    /// A test-owned workspace: scanned in-memory sources plus the
+    /// symbol table and call graph built over them.
+    pub(crate) struct TestWorkspace {
+        pub(crate) files: Vec<ScannedFile>,
+        pub(crate) symbols: SymbolTable,
+        pub(crate) calls: CallGraph,
+    }
+
+    impl TestWorkspace {
+        /// Scans `(workspace-relative path, source)` pairs and builds
+        /// the semantic layers over them.
+        pub(crate) fn new(files: &[(&str, &str)]) -> TestWorkspace {
+            let files: Vec<ScannedFile> = files
+                .iter()
+                .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
+                .collect();
+            let symbols = SymbolTable::build(&files);
+            let calls = CallGraph::build(&symbols, &files);
+            TestWorkspace {
+                files,
+                symbols,
+                calls,
+            }
+        }
+
+        /// The borrowed view the semantic rules take.
+        pub(crate) fn ws(&self) -> Workspace<'_> {
+            Workspace {
+                files: &self.files,
+                symbols: &self.symbols,
+                calls: &self.calls,
+            }
+        }
+    }
 
     fn check_one(rule: &dyn Rule, src: &str) -> Vec<Diagnostic> {
         let f = scan(PathBuf::from("t.rs"), "t.rs".into(), src);
@@ -1192,19 +1174,9 @@ mod tests {
     }
 
     fn check_semantic(rule: &dyn SemanticRule, files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let scanned: Vec<ScannedFile> = files
-            .iter()
-            .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
-            .collect();
-        let symbols = SymbolTable::build(&scanned);
-        let calls = CallGraph::build(&symbols, &scanned);
-        let ws = Workspace {
-            files: &scanned,
-            symbols: &symbols,
-            calls: &calls,
-        };
+        let t = TestWorkspace::new(files);
         let mut out = Vec::new();
-        rule.check(&ws, &Config::default(), &mut out);
+        rule.check(&t.ws(), &Config::default(), &mut out);
         out
     }
 

@@ -83,6 +83,85 @@ impl ScannedFile {
     }
 }
 
+/// A comment-free token paired with its index in the file's full
+/// token stream. Semantic layers walk slices of these, so positions
+/// they record (`FnSym::body`, `Call::paren`, guard and loop scopes)
+/// are comparable across layers.
+pub type CodeTok<'a> = (usize, &'a Token);
+
+impl ScannedFile {
+    /// The file's comment-free token view.
+    pub fn code_tokens(&self) -> Vec<CodeTok<'_>> {
+        self.tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.is_comment())
+            .collect()
+    }
+}
+
+/// One comment-free view per file, same indexing as `files`.
+pub fn code_views(files: &[ScannedFile]) -> Vec<Vec<CodeTok<'_>>> {
+    files.iter().map(ScannedFile::code_tokens).collect()
+}
+
+/// The part of `view` whose original indices lie in `[start, end)`.
+pub fn span<'v, 'a>(view: &'v [CodeTok<'a>], start: usize, end: usize) -> &'v [CodeTok<'a>] {
+    let lo = view.partition_point(|&(o, _)| o < start);
+    let hi = view.partition_point(|&(o, _)| o < end).max(lo);
+    &view[lo..hi]
+}
+
+/// Position in `view` of the token with original index `orig`.
+pub fn position(view: &[CodeTok<'_>], orig: usize) -> Option<usize> {
+    view.binary_search_by_key(&orig, |&(o, _)| o).ok()
+}
+
+/// Reads a `sep`-joined identifier path (`a::b::c`, `self.state`)
+/// backwards from the identifier at `end`: the position of its first
+/// segment, and its segments.
+pub fn path_back(toks: &[CodeTok<'_>], end: usize, sep: &str) -> (usize, Vec<String>) {
+    let mut p = end;
+    while p >= 2 && toks[p - 1].1.is_op(sep) && toks[p - 2].1.kind == TokKind::Ident {
+        p -= 2;
+    }
+    let segs = toks[p..=end].iter().step_by(2);
+    (p, segs.map(|(_, t)| t.text.clone()).collect())
+}
+
+/// Position of the delimiter matching the one at `at`: forwards from
+/// an opener (`(`, `[`, `{`, `<`), backwards from a closer. Only
+/// operator tokens of the same bracket kind count, and inside angles
+/// `<<`/`>>` count twice. `None` when the group never closes.
+pub fn matching(toks: &[CodeTok<'_>], at: usize) -> Option<usize> {
+    let start = toks.get(at)?.1.text.as_str();
+    let (open, close) = match start {
+        "(" | ")" => ("(", ")"),
+        "[" | "]" => ("[", "]"),
+        "{" | "}" => ("{", "}"),
+        "<" | "<<" | ">" | ">>" => ("<", ">"),
+        _ => return None,
+    };
+    let forward = start.starts_with(open);
+    let (mut depth, mut i) = (0i64, at);
+    loop {
+        let t = toks.get(i)?.1;
+        let w = match t.text.as_str() {
+            _ if t.kind != TokKind::Op => 0,
+            s if s == open => 1,
+            s if s == close => -1,
+            "<<" if open == "<" => 2,
+            ">>" if open == "<" => -2,
+            _ => 0,
+        };
+        depth += if forward { w } else { -w };
+        if depth <= 0 {
+            return Some(i);
+        }
+        i = if forward { i + 1 } else { i.checked_sub(1)? };
+    }
+}
+
 /// One pending line comment: its text and whether code preceded it.
 struct LineComment {
     line: usize,

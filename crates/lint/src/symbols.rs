@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::{TokKind, Token};
-use crate::scan::ScannedFile;
+use crate::scan::{matching, span, CodeTok, ScannedFile};
 
 /// One function item (free function or method).
 #[derive(Clone, Debug)]
@@ -41,6 +41,9 @@ pub struct FnSym {
     pub file: usize,
     /// 1-based line of the `fn` name.
     pub line: usize,
+    /// Token index of the `fn` keyword, so the signature reads forwards
+    /// from here to the body's `{`.
+    pub fn_at: usize,
     /// Token-index range `[start, end)` of the body block, braces
     /// included; `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -50,6 +53,14 @@ pub struct FnSym {
     pub returns_result: bool,
     /// True for `pub` items (any visibility scope).
     pub is_pub: bool,
+}
+
+impl FnSym {
+    /// The signature's comment-free tokens in the file's `view`: from
+    /// the `fn` keyword up to the body's `{` (empty without a body).
+    pub fn signature<'v, 'a>(&self, view: &'v [CodeTok<'a>]) -> &'v [CodeTok<'a>] {
+        span(view, self.fn_at, self.body.map_or(self.fn_at, |(s, _)| s))
+    }
 }
 
 /// Per-file resolution context.
@@ -206,18 +217,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
         module: file_module.clone(),
         uses: BTreeMap::new(),
     };
-    // Comment-free view with original token indices.
-    let toks: Vec<(usize, &Token)> = file
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect();
+    let toks = file.code_tokens();
 
     let mut stack: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;
@@ -323,21 +323,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
 fn impl_self_type(toks: &[(usize, &Token)], mut i: usize) -> Option<String> {
     // Skip `<...>` generic parameters.
     if toks.get(i).is_some_and(|(_, t)| t.is_op("<")) {
-        let mut depth = 0i64;
-        while let Some((_, t)) = toks.get(i) {
-            match t.text.as_str() {
-                "<" | "<<" => depth += angle_arrows(t),
-                ">" | ">>" => {
-                    depth -= angle_arrows(t);
-                    if depth <= 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
+        i = matching(toks, i).map_or(toks.len(), |close| close + 1);
     }
     // Walk the header up to the body `{` (or a `where` clause),
     // remembering the last ident at angle depth 0 both before and after
@@ -461,6 +447,7 @@ fn record_fn(
         module,
         file: file_idx,
         line: name.line,
+        fn_at: toks[fn_at].0,
         body: None, // filled in when the `{` is reached
         is_test: file.is_test_line(name.line),
         returns_result,
@@ -526,7 +513,7 @@ fn collect_use_tree(
                 }
                 "{" => {
                     // Group: split the balanced interior on top commas.
-                    let close = matching_brace(toks, i);
+                    let close = matching(toks, i).unwrap_or(toks.len().saturating_sub(1));
                     let inner = &toks[i + 1..close];
                     for part in split_top_commas(inner) {
                         collect_use_tree(scope, krate, module, part, &path);
@@ -590,22 +577,6 @@ fn record_use(
         }
     }
     scope.uses.insert(alias, path);
-}
-
-/// Index of the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[(usize, &Token)], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, (_, t)) in toks.iter().enumerate().skip(open) {
-        if t.is_op("{") {
-            depth += 1;
-        } else if t.is_op("}") {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Splits a token slice on commas at brace depth 0.

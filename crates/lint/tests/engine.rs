@@ -7,6 +7,8 @@
 //! All fixture runs use `Config::default()` (no `lint.toml`), under
 //! which every rule applies to every file — fixtures stay config-free.
 
+use std::fmt::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use lint::config::Config;
@@ -493,6 +495,62 @@ fn r006_bad_fixture_flags_unreserved_growth() {
 #[test]
 fn r006_ok_fixture_is_clean() {
     assert_ok("r006_ok.rs");
+}
+
+// ------------------------------------------------------------- golden
+
+/// Fixtures linted together by their per-rule tests; every other
+/// fixture is linted alone.
+const FIXTURE_SETS: &[&[&str]] = &[
+    &["reach_entry.rs", "reach_mid.rs", "reach_panic.rs"],
+    &["r002_entry.rs", "r002_mid.rs"],
+];
+
+/// Pins the exact bytes of every fixture report — messages, snippets
+/// and full witness chains — under `Config::default()`, so a refactor
+/// of the proof machinery cannot silently reword or reroute a witness.
+/// The per-rule tests above only check fragments of each chain.
+#[test]
+fn fixture_reports_match_golden() {
+    let dir = fixtures_dir();
+    let mut sets: Vec<Vec<String>> = FIXTURE_SETS
+        .iter()
+        .map(|set| set.iter().map(|n| n.to_string()).collect())
+        .collect();
+    let mut singles: Vec<String> = fs::read_dir(&dir)
+        .expect("fixtures dir lists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".rs") && !sets.iter().flatten().any(|s| s == n))
+        .collect();
+    singles.sort();
+    sets.extend(singles.into_iter().map(|n| vec![n]));
+
+    let mut rendered = String::from("{");
+    for (i, set) in sets.iter().enumerate() {
+        let paths: Vec<PathBuf> = set.iter().map(|n| dir.join(n)).collect();
+        let report = lint_files(&dir, &paths, &Config::default(), &SeverityMap::default())
+            .expect("fixture set lints");
+        let _ = write!(
+            rendered,
+            "{}\n\"{}\": {}",
+            if i == 0 { "" } else { "," },
+            set.join(" + "),
+            report.render_json().trim_end()
+        );
+    }
+    rendered.push_str("\n}\n");
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json");
+    let golden = fs::read_to_string(&golden_path).unwrap_or_default();
+    assert!(
+        rendered == golden,
+        "fixture reports differ from {}; rendered:\n{rendered}",
+        golden_path.display()
+    );
 }
 
 // ------------------------------------------------------------- pragmas

@@ -17,3 +17,12 @@ pub fn doubled_into(xs: &[u64], out: &mut Vec<u64>) {
         out.push(x.saturating_mul(2));
     }
 }
+
+/// The same out-param discipline with a `fn`-pointer parameter after
+/// it: the signature is read from the item's own `fn` keyword, so the
+/// pointer type's `fn` does not hide `out: &mut`.
+pub fn mapped_into(out: &mut Vec<u64>, xs: &[u64], f: fn(u64) -> u64) {
+    for &x in xs {
+        out.push(f(x));
+    }
+}
