@@ -453,59 +453,76 @@ fn invalid_char(s: &str, i: usize) -> ParseError {
 // Formatting (RFC 5952 canonical form)
 // ---------------------------------------------------------------------------
 
-impl fmt::Display for Addr {
-    /// Formats in RFC 5952 canonical form: lower-case hex, no leading
-    /// zeros, the single longest run of two-or-more zero groups compressed
-    /// to `::` (leftmost on ties).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let segs = self.segments();
+impl Addr {
+    /// Length of the longest RFC 5952 text: eight four-digit groups and
+    /// seven colons.
+    pub const TEXT_MAX: usize = 39;
 
-        // Find the longest run of zero segments of length >= 2.
-        let mut best_start = 0usize;
-        let mut best_len = 0usize;
-        let mut cur_start = 0usize;
-        let mut cur_len = 0usize;
-        for (i, &s) in segs.iter().enumerate() {
-            if s == 0 {
-                if cur_len == 0 {
-                    cur_start = i;
-                }
-                cur_len += 1;
-                if cur_len > best_len {
-                    best_len = cur_len;
-                    best_start = cur_start;
-                }
-            } else {
-                cur_len = 0;
+    /// Writes the RFC 5952 canonical text into `buf` and returns the
+    /// written prefix: lower-case hex, no leading zeros, the single
+    /// longest run of two-or-more zero groups compressed to `::`
+    /// (leftmost on ties). The one formatter behind [`Addr`]'s `Display`;
+    /// bulk writers (checkpoints) call it directly to skip `fmt`.
+    pub fn format_into(self, buf: &mut [u8; Addr::TEXT_MAX]) -> &[u8] {
+        let segs = self.segments();
+        // The longest run of zero groups: [gap_start, gap_end).
+        let (mut gap_start, mut gap_end) = (0usize, 0usize);
+        let mut run_start = 0usize;
+        for (i, &g) in segs.iter().enumerate() {
+            if g != 0 {
+                run_start = i + 1;
+            } else if i + 1 - run_start > gap_end - gap_start {
+                gap_start = run_start;
+                gap_end = i + 1;
             }
         }
-        if best_len < 2 {
-            best_len = 0;
+        if gap_end - gap_start < 2 {
+            (gap_start, gap_end) = (8, 8);
         }
-
-        let mut i = 0;
-        let mut first = true;
-        while i < 8 {
-            if best_len > 0 && i == best_start {
-                // '::' supplies the separator for the group that follows it.
-                f.write_str("::")?;
-                i += best_len;
-                if i >= 8 {
-                    return Ok(());
+        let mut n = 0usize;
+        let mut put = |c: u8| {
+            if let Some(slot) = buf.get_mut(n) {
+                *slot = c;
+            }
+            n += 1;
+        };
+        for (i, &g) in segs.iter().enumerate() {
+            if i >= gap_start && i < gap_end {
+                if i == gap_start {
+                    put(b':');
+                    put(b':');
                 }
-                write!(f, "{:x}", segs[i])?;
-                i += 1;
-                first = false;
                 continue;
             }
-            if !first {
-                f.write_str(":")?;
+            if i > 0 && i != gap_end {
+                put(b':');
             }
-            write!(f, "{:x}", segs[i])?;
-            first = false;
-            i += 1;
+            let [hi, lo] = g.to_be_bytes();
+            let nybbles = [hi >> 4, hi & 0xf, lo >> 4, lo & 0xf];
+            let mut leading = true;
+            for (k, &d) in nybbles.iter().enumerate() {
+                leading = leading && d == 0 && k < 3;
+                if !leading {
+                    put(if d < 10 { b'0' + d } else { b'a' + (d - 10) });
+                }
+            }
         }
-        Ok(())
+        buf.get(..n).unwrap_or_default()
+    }
+}
+
+impl fmt::Display for Addr {
+    /// Formats in RFC 5952 canonical form via [`Addr::format_into`].
+    ///
+    /// This matches `std::net::Ipv6Addr`'s `Display` on every address
+    /// except the IPv4-mapped block `::ffff:0:0/96`, which `std` writes
+    /// with a dotted quad (`::ffff:192.0.2.1`) and this writes in hex
+    /// (`::ffff:c000:201`): a census address is always rendered as eight
+    /// hex groups, whatever it embeds.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut buf = [0u8; Addr::TEXT_MAX];
+        let text = std::str::from_utf8(self.format_into(&mut buf)).map_err(|_| fmt::Error)?;
+        f.write_str(text)
     }
 }
 

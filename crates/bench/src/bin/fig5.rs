@@ -60,13 +60,12 @@ fn main() {
     let c = MraFigure::of("(c) all native IPv6 client addrs", &week_set);
     // (d) 6to4 clients.
     let sixtofour = {
-        let mut days = Vec::new();
-        for d in &week15 {
-            if let Some(s) = snap.census.summary(*d) {
-                days.push(s.sixtofour.clone());
-            }
-        }
-        AddrSet::union_all(days.iter())
+        AddrSet::union_all(
+            week15
+                .iter()
+                .filter_map(|d| snap.census.summary(*d))
+                .map(|s| &*s.sixtofour),
+        )
     };
     let dd = MraFigure::of("(d) 6to4 client addrs", &sixtofour);
     // (e) US mobile carrier.

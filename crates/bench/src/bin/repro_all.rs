@@ -189,12 +189,12 @@ fn main() {
     opts.emit("fig5b_segment_boxes.txt", &b_txt);
 
     let sixtofour_week = {
-        let sets: Vec<AddrSet> = week15
-            .iter()
-            .filter_map(|d| snap.census.summary(*d))
-            .map(|s| s.sixtofour.clone())
-            .collect();
-        AddrSet::union_all(sets.iter())
+        AddrSet::union_all(
+            week15
+                .iter()
+                .filter_map(|d| snap.census.summary(*d))
+                .map(|s| &*s.sixtofour),
+        )
     };
     let dept64 = {
         let uni0 = asn_set(asns::UNIVERSITY_FIRST);

@@ -7,6 +7,7 @@
 //! content-defined address formats would skew results.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use v6census_addr::scheme::{classify, classify_beneath_6to4, cull, Cull};
 use v6census_addr::{Addr, AddressScheme, Mac};
 use v6census_core::temporal::{DailyObservations, Day};
@@ -14,24 +15,29 @@ use v6census_synth::{DayLog, World};
 use v6census_trie::AddrSet;
 
 /// One day's log, culled into the paper's §4.1 categories.
+///
+/// Every set sits behind an [`Arc`] and is never edited in place (a
+/// merge replaces the sets, copying on write), so cloning a summary —
+/// and with it a whole [`Census`] — copies pointers, and the census's
+/// "Other" observation store shares `other`'s storage.
 #[derive(Clone, Debug)]
 pub struct DaySummary {
     /// The log-processed date.
     pub day: Day,
     /// Teredo client addresses.
-    pub teredo: AddrSet,
+    pub teredo: Arc<AddrSet>,
     /// ISATAP client addresses.
-    pub isatap: AddrSet,
+    pub isatap: Arc<AddrSet>,
     /// 6to4 client addresses.
-    pub sixtofour: AddrSet,
+    pub sixtofour: Arc<AddrSet>,
     /// "Other" addresses: native IPv6 end-to-end transport.
-    pub other: AddrSet,
+    pub other: Arc<AddrSet>,
     /// EUI-64 addresses among "Other" (the Table 1 "EUI-64 addr (!6to4)"
     /// row).
-    pub eui64: AddrSet,
+    pub eui64: Arc<AddrSet>,
     /// Unique MACs behind the EUI-64 addresses.
-    pub eui64_macs: BTreeSet<Mac>,
-    /// Total hits for the day.
+    pub eui64_macs: Arc<BTreeSet<Mac>>,
+    /// Total hits for the day, saturating at `u64::MAX`.
     pub hits: u64,
 }
 
@@ -53,7 +59,7 @@ impl DaySummary {
         let mut eui64_macs = BTreeSet::new();
         let mut hits = 0u64;
         for (addr, h) in entries {
-            hits += h;
+            hits = hits.saturating_add(h);
             match cull(addr) {
                 Cull::Teredo => teredo.push(addr),
                 Cull::Isatap => isatap.push(addr),
@@ -68,18 +74,18 @@ impl DaySummary {
         }
         DaySummary {
             day,
-            teredo: AddrSet::from_iter(teredo),
-            isatap: AddrSet::from_iter(isatap),
-            sixtofour: AddrSet::from_iter(sixtofour),
-            other: AddrSet::from_iter(other),
-            eui64: AddrSet::from_iter(eui64),
-            eui64_macs,
+            teredo: Arc::new(AddrSet::from_iter(teredo)),
+            isatap: Arc::new(AddrSet::from_iter(isatap)),
+            sixtofour: Arc::new(AddrSet::from_iter(sixtofour)),
+            other: Arc::new(AddrSet::from_iter(other)),
+            eui64: Arc::new(AddrSet::from_iter(eui64)),
+            eui64_macs: Arc::new(eui64_macs),
             hits,
         }
     }
 
     /// Merges another summary *for the same day* into this one: category
-    /// unions, hit totals summed.
+    /// unions, hit totals summed (saturating).
     ///
     /// # Panics
     /// Panics if the days differ — merging across days is always a bug.
@@ -88,13 +94,13 @@ impl DaySummary {
             self.day, other.day,
             "cannot merge summaries of different days"
         );
-        self.teredo = self.teredo.union(&other.teredo);
-        self.isatap = self.isatap.union(&other.isatap);
-        self.sixtofour = self.sixtofour.union(&other.sixtofour);
-        self.other = self.other.union(&other.other);
-        self.eui64 = self.eui64.union(&other.eui64);
-        self.eui64_macs.extend(other.eui64_macs.iter().copied());
-        self.hits += other.hits;
+        self.teredo = Arc::new(self.teredo.union(&other.teredo));
+        self.isatap = Arc::new(self.isatap.union(&other.isatap));
+        self.sixtofour = Arc::new(self.sixtofour.union(&other.sixtofour));
+        self.other = Arc::new(self.other.union(&other.other));
+        self.eui64 = Arc::new(self.eui64.union(&other.eui64));
+        Arc::make_mut(&mut self.eui64_macs).extend(other.eui64_macs.iter().copied());
+        self.hits = self.hits.saturating_add(other.hits);
     }
 
     /// Total active addresses across all categories (the percentage base
@@ -111,6 +117,10 @@ impl DaySummary {
 
 /// A multi-day census over a world: per-day culled summaries plus the
 /// observation stores that feed the temporal classifier.
+///
+/// Per-day sets are shared behind `Arc`s (see [`DaySummary`]), so a
+/// clone costs O(days) pointer copies, not the sets themselves, and the
+/// "Other" store holds the summaries' own `other` sets.
 ///
 /// Days are indexed (`Day → summary`) so per-day lookups are O(log d)
 /// rather than linear scans, and duplicate-day ingestion is an explicit
@@ -155,15 +165,22 @@ impl Census {
     /// Ingests a pre-culled summary, merging into an existing same-day
     /// summary if one exists.
     pub fn ingest_summary(&mut self, s: DaySummary) {
-        self.other_daily.record(s.day, s.other.clone());
-        self.other64_daily.record(s.day, s.other_64s());
-        match self.index.get(&s.day) {
-            Some(&i) => self.summaries[i].merge(&s),
-            None => {
-                self.index.insert(s.day, self.summaries.len());
-                self.summaries.push(s);
+        let day = s.day;
+        self.other64_daily.record(day, s.other_64s());
+        let other = match self.index.get(&day) {
+            Some(&i) => {
+                let held = &mut self.summaries[i];
+                held.merge(&s);
+                Arc::clone(&held.other)
             }
-        }
+            None => {
+                let other = Arc::clone(&s.other);
+                self.index.insert(day, self.summaries.len());
+                self.summaries.push(s);
+                other
+            }
+        };
+        self.other_daily.record_shared(day, other);
     }
 
     /// Ingests a summary only if its day is new; a duplicate day is
@@ -222,7 +239,7 @@ impl Census {
     pub fn eui64_over(&self, days: impl IntoIterator<Item = Day>) -> AddrSet {
         AddrSet::union_all(
             days.into_iter()
-                .filter_map(|d| self.summary(d).map(|s| &s.eui64))
+                .filter_map(|d| self.summary(d).map(|s| &*s.eui64))
                 .collect::<Vec<_>>(),
         )
     }
@@ -277,7 +294,7 @@ impl Census {
             eui64_macs.extend(s.eui64_macs.iter().copied());
         }
         let union = |f: fn(&DaySummary) -> &AddrSet| {
-            AddrSet::union_all(days.iter().map(|s| f(s)).collect::<Vec<_>>())
+            Arc::new(AddrSet::union_all(days.iter().map(|s| f(s))))
         };
         DaySummary {
             day: first,
@@ -286,8 +303,8 @@ impl Census {
             sixtofour: union(|s| &s.sixtofour),
             other: union(|s| &s.other),
             eui64: union(|s| &s.eui64),
-            eui64_macs,
-            hits: days.iter().map(|s| s.hits).sum(),
+            eui64_macs: Arc::new(eui64_macs),
+            hits: days.iter().fold(0, |acc, s| acc.saturating_add(s.hits)),
         }
     }
 }
@@ -441,7 +458,7 @@ mod tests {
             assert_eq!(via_index.other.len(), via_scan.other.len());
         }
         let eui = c.eui64_over(d.range_inclusive(d + 4));
-        let manual = AddrSet::union_all(c.summaries().iter().map(|s| &s.eui64));
+        let manual = AddrSet::union_all(c.summaries().iter().map(|s| &*s.eui64));
         assert_eq!(eui.len(), manual.len());
     }
 

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use v6census_addr::{Addr, Prefix};
 use v6census_core::query::{days_seen, prefix_profile};
 use v6census_core::spatial::DensityClass;
-use v6census_core::temporal::{Day, StabilityParams};
+use v6census_core::temporal::{Day, StabilityParams, StableDays};
 use v6census_core::vfs::Vfs;
 
 use crate::ingest::{Census, DaySummary};
@@ -569,7 +569,8 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
             })?,
         )
     };
-    let initial = Snapshot::build(census.clone(), cfg.params, cfg.dense_class);
+    let stability = StableDays::of(census.other_daily(), cfg.params);
+    let initial = Snapshot::with_stability(census.clone(), &stability, cfg.dense_class);
     let ready_now = initial.generation > 0;
 
     let listener = TcpListener::bind(&cfg.bind).map_err(|e| ServeError::Bind {
@@ -628,7 +629,7 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
     let ingest_shared = Arc::clone(&shared);
     let ingest = std::thread::Builder::new()
         .name("v6c-serve-ingest".into())
-        .spawn(move || ingest_loop(&ingest_shared, census, restored_days))
+        .spawn(move || ingest_loop(&ingest_shared, census, stability, restored_days))
         .map_err(|e| ServeError::Spawn {
             what: "ingest",
             detail: e.to_string(),
@@ -1135,7 +1136,15 @@ fn nap(shared: &Arc<Shared>, total: Duration) {
     }
 }
 
-fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>) {
+/// Follows the source directory. `stability` holds the per-day stable
+/// sets of `census`; each committed day is folded into it, so a publish
+/// costs O(new day + window) instead of re-classifying every day.
+fn ingest_loop(
+    shared: &Arc<Shared>,
+    mut census: Census,
+    mut stability: StableDays,
+    mut committed: Vec<Day>,
+) {
     let ingestor = StreamIngestor::new(shared.cfg.ingest.clone());
     // Per-file failure counts; a file past `max_retries` is quarantined.
     let mut failures: BTreeMap<PathBuf, u32> = BTreeMap::new();
@@ -1156,7 +1165,7 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
                 return;
             }
             match ingest_one(&ingestor, &path, &mut census, &mut committed) {
-                Ok(true) => {
+                Ok(Some(changed)) => {
                     failures.remove(&path);
                     if let Some(state) = &shared.cfg.state_dir {
                         if let Err(e) =
@@ -1165,8 +1174,12 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
                             shared.log(&format!("journal write failed: {e}"));
                         }
                     }
-                    let next =
-                        Snapshot::build(census.clone(), shared.cfg.params, shared.cfg.dense_class);
+                    stability.fold(census.other_daily(), changed);
+                    let next = Snapshot::with_stability(
+                        census.clone(),
+                        &stability,
+                        shared.cfg.dense_class,
+                    );
                     let generation = shared.cell.publish(next);
                     ServeMetrics::bump(&shared.metrics.ingested_days);
                     shared.ready.store(true, Ordering::Release);
@@ -1174,7 +1187,7 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
                         "ingested {day}, published generation {generation}"
                     ));
                 }
-                Ok(false) => {
+                Ok(None) => {
                     // Structurally bad file (error budget, truncation,
                     // duplicate): permanently quarantined — rescans must
                     // not retry a poisoned file forever.
@@ -1242,21 +1255,24 @@ fn scan_source(fs: &dyn Vfs, dir: &Path, census: &Census) -> Vec<(Day, PathBuf)>
     out
 }
 
-/// Parses and commits one day file. `Ok(true)`: committed (checkpoint
-/// written when configured). `Ok(false)`: the file is structurally bad
-/// and was *not* committed. `Err`: a typed failure worth retrying.
+/// Parses and commits one day file. `Ok(Some(day))`: `day`'s set was
+/// committed (checkpoint written when configured). `Ok(None)`: the file
+/// is structurally bad and was *not* committed. `Err`: a typed failure
+/// worth retrying.
 fn ingest_one(
     ingestor: &StreamIngestor,
     path: &Path,
     census: &mut Census,
     committed: &mut Vec<Day>,
-) -> Result<bool, IngestError> {
+) -> Result<Option<Day>, IngestError> {
     let parsed = ingestor.parse_file(path)?;
+    let day = parsed.summary.as_ref().map(|s| s.day);
     let report = ingestor.commit_parsed(parsed, census, committed)?;
-    Ok(matches!(
+    let ok = matches!(
         report.outcome,
         FileOutcome::Ingested | FileOutcome::FromCheckpoint
-    ))
+    );
+    Ok(day.filter(|_| ok))
 }
 
 #[cfg(test)]

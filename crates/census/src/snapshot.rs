@@ -13,10 +13,16 @@
 //! The generation number is defined as the number of ingested days, so
 //! `generation == days` is an invariant every response can carry and the
 //! atomicity tests can assert: a torn read would break it.
+//!
+//! Publishing costs O(new day + window), not O(days): the ingest thread
+//! keeps every day's stable set in a [`StableDays`] beside its census
+//! and folds in only the day that changed (the update rule and why it is
+//! exact are on [`StableDays`]), and the census clone a snapshot takes
+//! copies `Arc`s, not sets.
 
 use std::sync::{Arc, RwLock};
 use v6census_core::spatial::DensityClass;
-use v6census_core::temporal::{Day, StabilityParams};
+use v6census_core::temporal::{Day, StabilityParams, StableDays};
 use v6census_trie::AddrSet;
 
 use crate::ingest::Census;
@@ -58,8 +64,9 @@ pub struct Snapshot {
     pub params: StabilityParams,
     /// Density class `/classify` profiles report against.
     pub dense_class: DensityClass,
-    /// Active "Other" addresses on the reference day.
-    pub active: AddrSet,
+    /// Active "Other" addresses on the reference day (the census's own
+    /// storage, shared).
+    pub active: Arc<AddrSet>,
     /// nd-stable "Other" addresses on the reference day.
     pub stable: AddrSet,
     /// Aggregate `/stats` figures.
@@ -75,19 +82,35 @@ impl std::fmt::Debug for SnapshotCell {
 }
 
 impl Snapshot {
-    /// Builds a snapshot from a census. This is the expensive step and
-    /// deliberately takes `&Census` *by value semantics of the caller's
-    /// clone* — it runs on the ingest thread, outside any lock readers
-    /// touch.
+    /// Builds a snapshot of `census` from scratch: folds every day into
+    /// a fresh [`StableDays`], then assembles it with
+    /// [`Snapshot::with_stability`]. Cold start and restore use this; the
+    /// ingest loop keeps its [`StableDays`] and folds one day per
+    /// generation instead.
     pub fn build(census: Census, params: StabilityParams, dense_class: DensityClass) -> Snapshot {
+        let stability = StableDays::of(census.other_daily(), params);
+        Snapshot::with_stability(census, &stability, dense_class)
+    }
+
+    /// Assembles a snapshot of `census` whose per-day stable sets are
+    /// `stability` (which must be current for every day of `census`).
+    /// Runs on the ingest thread, outside any lock readers touch; costs
+    /// one copy of the reference day's stable set plus O(days) counts.
+    pub fn with_stability(
+        census: Census,
+        stability: &StableDays,
+        dense_class: DensityClass,
+    ) -> Snapshot {
+        let params = *stability.params();
+        let obs = census.other_daily();
         let reference = census.days().last();
-        let (active, stable) = match reference {
-            None => (AddrSet::new(), AddrSet::new()),
-            Some(r) => (
-                census.other_daily().on(r),
-                census.other_daily().stable_on(r, &params),
-            ),
-        };
+        let active = reference
+            .and_then(|r| obs.shared(r))
+            .map_or_else(|| Arc::new(AddrSet::new()), Arc::clone);
+        let stable = reference
+            .and_then(|r| stability.on(r))
+            .cloned()
+            .unwrap_or_default();
         let scheme_counts = match reference.and_then(|r| census.summary(r)) {
             None => Vec::new(),
             Some(s) => vec![
@@ -100,14 +123,10 @@ impl Snapshot {
         };
         let daily: Vec<DayStat> = census
             .days()
-            .map(|day| {
-                let active = census.other_daily().on(day).len();
-                let stable = census.other_daily().stable_on(day, &params).len();
-                DayStat {
-                    day,
-                    active,
-                    stable,
-                }
+            .map(|day| DayStat {
+                day,
+                active: obs.get(day).map_or(0, AddrSet::len),
+                stable: stability.on(day).map_or(0, AddrSet::len),
             })
             .collect();
         let generation = daily.len() as u64;

@@ -964,6 +964,10 @@ pub fn checkpoint_path(dir: &Path, day: Day) -> PathBuf {
 /// fsync + rename via [`Vfs::write_atomic`]), so a crash mid-write
 /// leaves either no checkpoint or a complete one — and a completed
 /// write survives power loss, per the DESIGN.md persistence model.
+///
+/// The body is rendered into one reserved buffer with
+/// [`Addr::format_into`] and a plain decimal writer, not `fmt`; the
+/// header's hit total saturates at `u64::MAX`.
 pub fn write_checkpoint(
     fs: &dyn Vfs,
     dir: &Path,
@@ -971,13 +975,46 @@ pub fn write_checkpoint(
     entries: &[(Addr, u64)],
 ) -> io::Result<()> {
     fs.create_dir_all(dir)?;
-    let hits: u64 = entries.iter().map(|&(_, h)| h).sum();
-    let mut text = format!("# v6census checkpoint v1 {day} {} {hits}\n", entries.len());
-    for (addr, h) in entries {
-        let _ = writeln!(text, "{addr}\t{h}");
+    let header = format!(
+        "# v6census checkpoint v1 {day} {} {}\n",
+        entries.len(),
+        total_hits(entries)
+    );
+    // Longest line: an address, a tab, a 20-digit count, a newline.
+    const LINE_MAX: usize = Addr::TEXT_MAX + 22;
+    let mut text = Vec::with_capacity(header.len() + entries.len() * LINE_MAX + 6);
+    text.extend_from_slice(header.as_bytes());
+    let mut addr_buf = [0u8; Addr::TEXT_MAX];
+    let mut hits_buf = [0u8; 20];
+    for &(addr, h) in entries {
+        text.extend_from_slice(addr.format_into(&mut addr_buf));
+        text.push(b'\t');
+        text.extend_from_slice(decimal(h, &mut hits_buf));
+        text.push(b'\n');
     }
-    text.push_str("# end\n");
-    fs.write_atomic(&checkpoint_path(dir, day), text.as_bytes())
+    text.extend_from_slice(b"# end\n");
+    fs.write_atomic(&checkpoint_path(dir, day), &text)
+}
+
+/// The hit total of checkpoint entries, saturating at `u64::MAX`.
+fn total_hits(entries: &[(Addr, u64)]) -> u64 {
+    entries
+        .iter()
+        .fold(0u64, |acc, &(_, h)| acc.saturating_add(h))
+}
+
+/// `v` in decimal, written right-aligned into `buf`.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    for slot in buf.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        v /= 10;
+        start -= 1;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.get(start..).unwrap_or_default()
 }
 
 /// Deletes stale `.{name}.tmp` leftovers an aborted atomic write can
@@ -1061,7 +1098,7 @@ pub fn load_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<(Day, Vec<(Addr, u64
             entries.len()
         )));
     }
-    let hits: u64 = entries.iter().map(|&(_, h)| h).sum();
+    let hits = total_hits(&entries);
     if hits != declared_hits {
         return Err(bad(format!(
             "hit total mismatch: declared {declared_hits}, got {hits}"
@@ -1175,6 +1212,40 @@ mod tests {
         std::fs::write(&path, text.replace("# end\n", "")).unwrap();
         let e = load_checkpoint(&RealFs, &path).unwrap_err();
         assert_eq!(e.label(), "bad-checkpoint");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_fmt_rendering() {
+        use v6census_synth::{world::epochs, World, WorldConfig};
+        let dir =
+            std::env::temp_dir().join(format!("v6census-ckfmt-{}-{}", std::process::id(), line!()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = World::standard(WorldConfig::tiny(5)).day_log(epochs::mar2015());
+        let mut entries: Vec<(Addr, u64)> = log.entries.iter().map(|e| (e.addr, e.hits)).collect();
+        entries.extend([
+            (Addr::UNSPECIFIED, 0),
+            (Addr(u128::MAX), 1 << 40),
+            ("::ffff:192.0.2.1".parse().unwrap(), 10),
+            (Addr(1), u64::MAX),
+        ]);
+        // The rendering `write_checkpoint` replaced: `fmt` per line
+        // (with the header total saturating, as it now does).
+        let hits = entries
+            .iter()
+            .fold(0u64, |acc, &(_, h)| acc.saturating_add(h));
+        let mut want = format!(
+            "# v6census checkpoint v1 {} {} {hits}\n",
+            log.day,
+            entries.len()
+        );
+        for (addr, h) in &entries {
+            writeln!(want, "{addr}\t{h}").unwrap();
+        }
+        want.push_str("# end\n");
+        write_checkpoint(&RealFs, &dir, log.day, &entries).unwrap();
+        let got = std::fs::read(checkpoint_path(&dir, log.day)).unwrap();
+        assert_eq!(String::from_utf8(got).unwrap(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -33,9 +33,15 @@ fn world() -> World {
     })
 }
 
+/// Lands a day file as a log shipper should: written under a name the
+/// daemon ignores, then renamed into place, so a scan of the live source
+/// directory never reads half a file.
 fn write_day(dir: &Path, w: &World, offset: i32) {
     let day = epochs::mar2015() + offset;
-    std::fs::write(dir.join(day_file_name(day)), w.day_log(day).to_text()).unwrap();
+    let name = day_file_name(day);
+    let staged = dir.join(format!(".{name}.partial"));
+    std::fs::write(&staged, w.day_log(day).to_text()).unwrap();
+    std::fs::rename(&staged, dir.join(name)).unwrap();
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {

@@ -1,11 +1,13 @@
 //! End-to-end tests of the supervised analysis engine: panics are
 //! contained and reported, hangs trip the stage deadline without hanging
 //! the run, trie budgets degrade densify instead of killing it, and a
-//! parallel run is equivalent to a serial one.
+//! parallel run is equivalent to a serial one — down to the report
+//! bytes at jobs 1 and 2.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use v6census_census::supervisor::{run_census, PipelineConfig, UnitStatus};
+use v6census_census::supervisor::{run_census, PipelineConfig, SupervisedRun, UnitStatus};
 use v6census_core::quality::Quality;
 use v6census_synth::world::epochs;
 use v6census_synth::{
@@ -236,6 +238,50 @@ fn parallel_run_is_equivalent_to_serial() {
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.day, b.day);
     }
+    std::fs::remove_dir_all(&logs).unwrap();
+}
+
+/// Everything a run reports apart from wall clocks, as text: ingest
+/// health, the timing-free manifest (what `census --no-timings`
+/// prints), Table 1, the stability verdict with its stable addresses,
+/// and the dense prefixes, each with its annotation.
+fn report_bytes(run: &SupervisedRun) -> String {
+    let mut out = run.report.health_report();
+    out.push_str(&run.manifest.render_stable());
+    writeln!(out, "reference {:?}", run.reference).unwrap();
+    if let Some(t) = &run.table1 {
+        writeln!(out, "table1 {:?} {:?}", t.quality, t.notes).unwrap();
+        out.push_str(t.value.as_deref().unwrap_or("-"));
+    }
+    if let Some(s) = &run.stability {
+        writeln!(out, "stability {:?} {:?}", s.quality, s.notes).unwrap();
+        if let Some(v) = &s.value {
+            writeln!(out, "{:?}", v.quality).unwrap();
+            for a in v.stable.iter() {
+                writeln!(out, "{a}").unwrap();
+            }
+        }
+    }
+    if let Some(d) = &run.dense {
+        writeln!(out, "dense {:?} {:?}", d.quality, d.notes).unwrap();
+        for p in &d.value {
+            writeln!(out, "{} {}", p.prefix, p.count).unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn jobs_one_and_two_report_identical_bytes() {
+    let (logs, reference) = clean_logs("bytes", 67);
+    let run = |jobs: usize| {
+        let mut cfg = base_config(reference);
+        cfg.supervisor.jobs = jobs;
+        report_bytes(&run_census(&logs, &cfg).unwrap())
+    };
+    let (one, two) = (run(1), run(2));
+    assert!(one.contains("==== run manifest ===="), "{one}");
+    assert_eq!(one, two);
     std::fs::remove_dir_all(&logs).unwrap();
 }
 

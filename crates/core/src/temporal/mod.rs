@@ -9,6 +9,6 @@ pub use longest_stable::{
     longest_stable_prefixes, spectrum_between, stable_fraction_spectrum, StableSpectrum,
 };
 pub use stability::{
-    DailyObservations, EpochStability, GapPolicy, StabilityParams, StabilityVerdict,
+    DailyObservations, EpochStability, GapPolicy, StabilityParams, StabilityVerdict, StableDays,
     VerdictQuality, WeeklyStability,
 };

@@ -2,6 +2,7 @@
 
 use super::Day;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use v6census_trie::AddrSet;
 
 /// Parameters of an nd-stability assessment.
@@ -85,9 +86,14 @@ impl StabilityParams {
 /// covered day was provably quiet; an address absent on a gap day was
 /// simply not looked at. The gap-aware classifier entry point
 /// [`DailyObservations::stable_on_gapped`] keeps the two apart.
+///
+/// Each day's set sits behind an [`Arc`], so cloning a store copies
+/// pointers, and a caller that already holds a day's set (the census's
+/// per-day summary) can hand over its storage with
+/// [`DailyObservations::record_shared`] instead of a second copy.
 #[derive(Clone, Debug, Default)]
 pub struct DailyObservations {
-    days: BTreeMap<Day, AddrSet>,
+    days: BTreeMap<Day, Arc<AddrSet>>,
 }
 
 /// How the classifier treats days that were never ingested inside the
@@ -204,17 +210,36 @@ impl DailyObservations {
     pub fn record(&mut self, day: Day, set: AddrSet) {
         self.days
             .entry(day)
-            .and_modify(|existing| *existing = existing.union(&set))
-            .or_insert(set);
+            .and_modify(|existing| *existing = Arc::new(existing.union(&set)))
+            .or_insert_with(|| Arc::new(set));
     }
 
-    /// The active set for a day (empty when unobserved).
+    /// Records `set` as `day`'s active set, sharing the caller's storage.
+    /// Unlike [`DailyObservations::record`] this does not merge: the
+    /// caller owns the merge, so `set` must contain whatever was already
+    /// recorded for the day (sets only grow, which is what
+    /// [`StableDays::fold`] relies on).
+    pub fn record_shared(&mut self, day: Day, set: Arc<AddrSet>) {
+        debug_assert!(
+            self.days.get(&day).map_or(0, |old| old.len()) <= set.len(),
+            "record_shared must not shrink a day's set"
+        );
+        self.days.insert(day, set);
+    }
+
+    /// The active set for a day (empty when unobserved). This copies the
+    /// set; [`DailyObservations::get`] borrows it.
     pub fn on(&self, day: Day) -> AddrSet {
-        self.days.get(&day).cloned().unwrap_or_default()
+        self.get(day).cloned().unwrap_or_default()
     }
 
     /// Borrowing accessor for a day's set.
     pub fn get(&self, day: Day) -> Option<&AddrSet> {
+        self.days.get(&day).map(|set| &**set)
+    }
+
+    /// A day's set as shared storage: cloning the `Arc` is a pointer copy.
+    pub fn shared(&self, day: Day) -> Option<&Arc<AddrSet>> {
         self.days.get(&day)
     }
 
@@ -232,13 +257,11 @@ impl DailyObservations {
     /// `/len` blocks — e.g. `prefix_view(64)` for the paper's /64
     /// stability analysis (Table 2b/2d).
     pub fn prefix_view(&self, len: u8) -> DailyObservations {
-        DailyObservations {
-            days: self
-                .days
-                .iter()
-                .map(|(&d, set)| (d, set.map_prefix(len)))
-                .collect(),
+        let mut view = DailyObservations::new();
+        for (&d, set) in &self.days {
+            view.record(d, set.map_prefix(len));
         }
+        view
     }
 
     /// True when `day` was recorded at all (even with an empty set) —
@@ -313,50 +336,32 @@ impl DailyObservations {
     /// also active on some observed day `d` in the window with
     /// `|d − reference| ≥ n + slew`.
     pub fn stable_on(&self, reference: Day, params: &StabilityParams) -> AddrSet {
-        let active = match self.days.get(&reference) {
-            Some(s) => s,
-            None => return AddrSet::new(),
+        let Some(active) = self.get(reference) else {
+            return AddrSet::new();
         };
+        let mut witnesses: Vec<&[u128]> = Vec::with_capacity(self.days.len());
+        for (_, s) in self.witnesses_of(reference, params) {
+            witnesses.push(s.keys());
+        }
+        witnessed(active.keys(), &witnesses)
+    }
+
+    /// The observed days whose activity can witness `reference`'s
+    /// stability: inside `[reference − back, reference + fwd]` and at
+    /// least `n + slew` days away. With `n + slew = 0` that includes
+    /// `reference` itself.
+    fn witnesses_of<'a>(
+        &'a self,
+        reference: Day,
+        params: &StabilityParams,
+    ) -> impl Iterator<Item = (Day, &'a AddrSet)> + 'a {
         let lo = reference - params.back as i32;
         let hi = reference + params.fwd as i32;
         let min_d = params.min_distance() as i32;
-        // One pass over the reference day's actives against a cursor
-        // per witness day. Every cursor moves monotonically forward,
-        // so the whole ±window costs O(|active|·w + Σ|witness|) with a
-        // single reserved output buffer — where the old
-        // union-of-intersections built and dropped two intermediate
-        // sets per witness day.
-        let mut witnesses: Vec<&[u128]> = Vec::with_capacity(self.days.len());
-        for (&d, s) in self.days.range(lo..=hi) {
-            if (d - reference).abs() >= min_d {
-                witnesses.push(s.keys());
-            }
-        }
-        // Not `vec![0; …]`: the reserve-then-resize spelling keeps this
-        // fn on the amortized point of R005's allocation lattice.
-        #[allow(clippy::slow_vector_initialization)]
-        let mut cursors: Vec<usize> = {
-            let mut v = Vec::with_capacity(witnesses.len());
-            v.resize(witnesses.len(), 0);
-            v
-        };
-        let mut out: Vec<u128> = Vec::with_capacity(active.len());
-        for &a in active.keys() {
-            let mut hit = false;
-            for (w, cur) in witnesses.iter().zip(cursors.iter_mut()) {
-                while w.get(*cur).is_some_and(|&k| k < a) {
-                    *cur += 1;
-                }
-                if w.get(*cur) == Some(&a) {
-                    hit = true;
-                    break; // later witnesses' cursors catch up lazily
-                }
-            }
-            if hit {
-                out.push(a);
-            }
-        }
-        AddrSet::from_sorted(out)
+        self.days
+            .range(lo..=hi)
+            .filter(move |(&d, _)| (d - reference).abs() >= min_d)
+            .map(|(&d, s)| (d, &**s))
     }
 
     /// Addresses active on `reference` but *not* witnessed nd-stable —
@@ -384,7 +389,7 @@ impl DailyObservations {
         let mut active = AddrSet::new();
         let mut stable = AddrSet::new();
         for d in days {
-            if let Some(s) = self.days.get(&d) {
+            if let Some(s) = self.get(d) {
                 active = active.union(s);
             }
             stable = stable.union(&self.stable_on(d, params));
@@ -407,8 +412,8 @@ impl DailyObservations {
         current: impl IntoIterator<Item = Day>,
         earlier: impl IntoIterator<Item = Day>,
     ) -> EpochStability {
-        let cur = AddrSet::union_all(current.into_iter().filter_map(|d| self.days.get(&d)));
-        let old = AddrSet::union_all(earlier.into_iter().filter_map(|d| self.days.get(&d)));
+        let cur = AddrSet::union_all(current.into_iter().filter_map(|d| self.get(d)));
+        let old = AddrSet::union_all(earlier.into_iter().filter_map(|d| self.get(d)));
         EpochStability {
             stable: cur.intersection(&old),
             current_total: cur.len(),
@@ -424,6 +429,146 @@ impl DailyObservations {
             .iter()
             .map(|(&d, s)| (d, s.len(), ref_set.intersection_len(s)))
             .collect()
+    }
+}
+
+/// The members of sorted `active` that occur in at least one sorted
+/// `witnesses` list: `active ∩ ⋃ witnesses`, the one kernel behind
+/// [`DailyObservations::stable_on`] and [`StableDays::fold`].
+///
+/// One pass over `active` against a cursor per witness. Every cursor
+/// moves monotonically forward, so the cost is
+/// O(|active|·w + Σ|witness|) with a single reserved output buffer.
+fn witnessed(active: &[u128], witnesses: &[&[u128]]) -> AddrSet {
+    // Not `vec![0; …]`: the reserve-then-resize spelling keeps this fn
+    // on the amortized point of R005's allocation lattice.
+    #[allow(clippy::slow_vector_initialization)]
+    let mut cursors: Vec<usize> = {
+        let mut v = Vec::with_capacity(witnesses.len());
+        v.resize(witnesses.len(), 0);
+        v
+    };
+    let mut out: Vec<u128> = Vec::with_capacity(active.len());
+    for &a in active {
+        let mut hit = false;
+        for (w, cur) in witnesses.iter().zip(cursors.iter_mut()) {
+            while w.get(*cur).is_some_and(|&k| k < a) {
+                *cur += 1;
+            }
+            if w.get(*cur) == Some(&a) {
+                hit = true;
+                break; // later witnesses' cursors catch up lazily
+            }
+        }
+        if hit {
+            out.push(a);
+        }
+    }
+    AddrSet::from_sorted(out)
+}
+
+/// Every observed day's nd-stable set under one [`StabilityParams`],
+/// kept current one changed day at a time — what a serving daemon
+/// needs to publish a generation without re-classifying every day.
+///
+/// Write `A_d` for day `d`'s active set and call `w` a *witness* of `d`
+/// when `d − back ≤ w ≤ d + fwd` and `|w − d| ≥ n + slew`. Then
+/// `stable_on(d) = A_d ∩ ⋃ { A_w : w a witness of d }`. Suppose only
+/// day `X`'s set changed, and only by growing (a new day grows from
+/// nothing; a duplicate-day merge grows by union — ingest never removes
+/// an address). [`StableDays::fold`] then updates exactly:
+///
+/// * `S_X` is recomputed in full;
+/// * a day `d ≠ X` has `X` as a witness iff `X ∈ [d − back, d + fwd]`
+///   and `|X − d| ≥ n + slew`. Its `A_d` is unchanged and its witness
+///   union only gains `A′_X ⊇ A_X`, so
+///   `S′_d = A_d ∩ (W_d ∪ A′_X) = S_d ∪ (A_d ∩ A′_X)`;
+/// * every other day's witness union does not mention `X`, so its set
+///   is reused unchanged.
+///
+/// The second case is cheap: when `d` is also a witness of `X` (always,
+/// for a symmetric window), `A_d ∩ A′_X ⊆ S′_X`, so the gain is found by
+/// walking the small `S′_X` against `A_d` rather than all of `A′_X`.
+///
+/// A fold therefore touches `X` plus at most `back + fwd` other days:
+/// O(new day + window), independent of how many days are held.
+///
+/// Only days already folded count as witnesses, so folding the days of
+/// a complete store one by one replays their arrival and ends in the
+/// same sets as [`DailyObservations::stable_on`] per day —
+/// [`StableDays::of`] is that fold, and the only from-scratch path.
+#[derive(Clone, Debug)]
+pub struct StableDays {
+    params: StabilityParams,
+    stable: BTreeMap<Day, AddrSet>,
+}
+
+impl StableDays {
+    /// An empty index: no day folded yet.
+    pub fn new(params: StabilityParams) -> StableDays {
+        StableDays {
+            params,
+            stable: BTreeMap::new(),
+        }
+    }
+
+    /// The stable sets of every day of `obs`, by folding its days in
+    /// ascending order.
+    pub fn of(obs: &DailyObservations, params: StabilityParams) -> StableDays {
+        let mut index = StableDays::new(params);
+        for day in obs.days() {
+            index.fold(obs, day);
+        }
+        index
+    }
+
+    /// Folds day `day`'s new or grown set into the index. `obs` is the
+    /// store *after* the change; every other day of `obs` must already
+    /// be folded with its current set (see the type docs for why the
+    /// update is exact). A day `obs` never recorded is ignored.
+    pub fn fold(&mut self, obs: &DailyObservations, day: Day) {
+        let Some(active) = obs.get(day) else {
+            return;
+        };
+        let mut witnesses: Vec<&[u128]> = Vec::with_capacity(obs.day_count());
+        for (d, s) in obs.witnesses_of(day, &self.params) {
+            if d == day || self.stable.contains_key(&d) {
+                witnesses.push(s.keys());
+            }
+        }
+        let own = witnessed(active.keys(), &witnesses);
+        // `d` has `day` as a witness iff `day ∈ [d − back, d + fwd]`.
+        let lo = day - self.params.fwd as i32;
+        let hi = day + self.params.back as i32;
+        let min_d = self.params.min_distance() as i32;
+        let (wlo, whi) = (day - self.params.back as i32, day + self.params.fwd as i32);
+        for (&d, s) in self.stable.range_mut(lo..=hi) {
+            if d == day || (d - day).abs() < min_d {
+                continue;
+            }
+            let Some(a) = obs.get(d) else {
+                continue;
+            };
+            // When `d` witnesses `day` too, everything the two days
+            // share is already in `own`, a small fraction of `active`.
+            let shared_with = if wlo <= d && d <= whi {
+                own.keys()
+            } else {
+                active.keys()
+            };
+            *s = s.union(&witnessed(shared_with, &[a.keys()]));
+        }
+        *self.stable.entry(day).or_default() = own;
+    }
+
+    /// The parameters the sets are computed under.
+    pub fn params(&self) -> &StabilityParams {
+        &self.params
+    }
+
+    /// The nd-stable set of a folded day.
+    pub fn on(&self, day: Day) -> Option<&AddrSet> {
+        self.stable.get(&day)
     }
 }
 
