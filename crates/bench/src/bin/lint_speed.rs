@@ -11,13 +11,12 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::time::Instant;
 
 use lint::callgraph::CallGraph;
 use lint::engine::{discover, lint_workspace, load_config, SeverityMap};
 use lint::rules::Workspace;
 use lint::symbols::SymbolTable;
-use v6census_bench::Opts;
+use v6census_bench::{samples, time_ms, Opts};
 
 fn main() {
     let opts = Opts::parse();
@@ -28,31 +27,22 @@ fn main() {
     let cfg = load_config(&root).expect("lint.toml parses");
     let severities = SeverityMap::default();
 
-    let samples = if std::env::var_os("BENCH_QUICK").is_some() {
-        3
-    } else {
-        10
-    };
+    let samples = samples(3, 10);
 
-    // Warm-up pass; also the source of the scan/finding counts.
+    // The source of the scan/finding counts.
     let report = lint_workspace(&root, &cfg, &severities).expect("workspace lints");
     let files_scanned = report.files_scanned;
     let findings = report.diagnostics.len();
     let suppressed = report.suppressed_count();
     let discharged = report.discharged_count();
 
-    let mut times: Vec<f64> = Vec::new();
-    for _ in 0..samples {
-        let start = Instant::now();
+    let (min, median) = time_ms(samples, || {
         let run = lint_workspace(&root, &cfg, &severities).expect("workspace lints");
-        times.push(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             run.files_scanned, files_scanned,
             "scan must be deterministic"
         );
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    let (min, median) = (times[0], times[times.len() / 2]);
+    });
     let files_per_sec = f64::from(u32::try_from(files_scanned).unwrap_or(u32::MAX)) / (min / 1e3);
 
     // The R002 dataflow pass in isolation: build the shared inputs
@@ -80,44 +70,26 @@ fn main() {
         symbols: &symbols,
         calls: &calls,
     };
-    let mut flow_times: Vec<f64> = Vec::new();
     let mut stats = lint::dataflow::DataflowStats::default();
-    for _ in 0..samples {
-        let start = Instant::now();
-        let res = lint::dataflow::analyze(&ws, &cfg);
-        flow_times.push(start.elapsed().as_secs_f64() * 1e3);
-        stats = res.stats;
-    }
-    flow_times.sort_by(|a, b| a.total_cmp(b));
-    let (flow_min, flow_median) = (flow_times[0], flow_times[flow_times.len() / 2]);
+    let (flow_min, flow_median) = time_ms(samples, || {
+        stats = lint::dataflow::analyze(&ws, &cfg).stats;
+    });
 
     // The R003/R004 concurrency pass in isolation, over the same
     // shared inputs: lock registry, guard scopes, effect lattice, and
     // the lock-order graph, timed separately like the dataflow above.
-    let mut lock_times: Vec<f64> = Vec::new();
     let mut lock_stats = lint::locks::LockStats::default();
-    for _ in 0..samples {
-        let start = Instant::now();
-        let res = lint::locks::analyze(&ws, &cfg);
-        lock_times.push(start.elapsed().as_secs_f64() * 1e3);
-        lock_stats = res.stats;
-    }
-    lock_times.sort_by(|a, b| a.total_cmp(b));
-    let (lock_min, lock_median) = (lock_times[0], lock_times[lock_times.len() / 2]);
+    let (lock_min, lock_median) = time_ms(samples, || {
+        lock_stats = lint::locks::analyze(&ws, &cfg).stats;
+    });
 
     // The R005/R006 allocation-effect pass in isolation, again over the
     // same shared inputs: per-function allocation summaries, hot-loop
     // obligations, and capacity-discipline proofs.
-    let mut alloc_times: Vec<f64> = Vec::new();
     let mut alloc_stats = lint::allocs::AllocStats::default();
-    for _ in 0..samples {
-        let start = Instant::now();
-        let res = lint::allocs::analyze(&ws, &cfg);
-        alloc_times.push(start.elapsed().as_secs_f64() * 1e3);
-        alloc_stats = res.stats;
-    }
-    alloc_times.sort_by(|a, b| a.total_cmp(b));
-    let (alloc_min, alloc_median) = (alloc_times[0], alloc_times[alloc_times.len() / 2]);
+    let (alloc_min, alloc_median) = time_ms(samples, || {
+        alloc_stats = lint::allocs::analyze(&ws, &cfg).stats;
+    });
 
     println!(
         "lint_workspace  {files_scanned} files, {findings} findings ({suppressed} suppressed, {discharged} discharged)"

@@ -24,11 +24,10 @@
 //! `BENCH_QUICK=1` trims samples for CI smoke runs.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use v6census_addr::Addr;
 use v6census_bench::naive::{naive_stable_on, NaiveTrie};
-use v6census_bench::Opts;
+use v6census_bench::{samples, time_ms, Opts};
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
 use v6census_synth::world::epochs;
 use v6census_synth::{World, WorldConfig};
@@ -38,10 +37,6 @@ use v6census_trie::{AddrSet, RadixTree};
 /// addresses at density `DENSIFY_N`/2^(128−`DENSIFY_P`).
 const DENSIFY_N: u64 = 4;
 const DENSIFY_P: u8 = 64;
-
-// ---------------------------------------------------------------------
-// Harness
-// ---------------------------------------------------------------------
 
 struct Stage {
     name: &'static str,
@@ -60,21 +55,6 @@ impl Stage {
             f64::INFINITY
         }
     }
-}
-
-/// Times `f` over `samples` runs (plus one warm-up) and returns
-/// `(min_ms, median_ms)`.
-fn time_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
-    std::hint::black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    (times[0], times[times.len() / 2])
 }
 
 fn run_scale(scale: f64, seed: u64, samples: usize) -> (Vec<Stage>, usize) {
@@ -163,11 +143,7 @@ fn run_scale(scale: f64, seed: u64, samples: usize) -> (Vec<Stage>, usize) {
 
 fn main() {
     let opts = Opts::parse();
-    let samples = if std::env::var_os("BENCH_QUICK").is_some() {
-        3
-    } else {
-        7
-    };
+    let samples = samples(3, 7);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"pipeline_speed\",");

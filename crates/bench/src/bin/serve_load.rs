@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use v6census_bench::Opts;
+use v6census_bench::{samples, Opts};
 use v6census_census::serve::{spawn, ServeConfig};
 use v6census_synth::chaos::http_get;
 use v6census_synth::faults::day_file_name;
@@ -72,11 +72,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let per_client = if std::env::var_os("BENCH_QUICK").is_some() {
-        10
-    } else {
-        60
-    };
+    let per_client = samples(10, 60);
     let paths = [
         "/stats",
         "/stable/2001:db8::1",

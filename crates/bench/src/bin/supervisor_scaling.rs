@@ -9,8 +9,7 @@
 //! `BENCH_QUICK=1` trims samples for CI smoke runs.
 
 use std::fmt::Write as _;
-use std::time::Instant;
-use v6census_bench::Opts;
+use v6census_bench::{samples, time_ms, Opts};
 use v6census_census::supervisor::{run_census, PipelineConfig};
 use v6census_synth::world::epochs;
 use v6census_synth::{FaultInjector, FaultSpec};
@@ -48,11 +47,7 @@ fn main() {
         .write_day_files(&world, first, last, &dir, &FaultSpec { faults: vec![] })
         .expect("write day logs");
 
-    let samples = if std::env::var_os("BENCH_QUICK").is_some() {
-        2
-    } else {
-        5
-    };
+    let samples = samples(2, 5);
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -67,12 +62,9 @@ fn main() {
             ..PipelineConfig::default()
         };
         cfg.supervisor.jobs = jobs;
-        let mut times: Vec<f64> = Vec::new();
         let mut stage_walls: Vec<(String, u64)> = Vec::new();
-        for _ in 0..samples {
-            let start = Instant::now();
+        let (min, median) = time_ms(samples, || {
             let run = run_census(&dir, &cfg).expect("clean bench run");
-            times.push(start.elapsed().as_secs_f64() * 1e3);
             assert!(
                 run.overall_quality().is_exact(),
                 "bench world must run clean"
@@ -90,14 +82,12 @@ fn main() {
                 None => serial_key = Some(key),
                 Some(k) => assert_eq!(k, &key, "--jobs={jobs} diverged from --jobs=1"),
             }
-        }
+        });
         let breakdown: Vec<String> = stage_walls
             .iter()
             .map(|(s, ms)| format!("{s}={ms}ms"))
             .collect();
         eprintln!("  [jobs={jobs}] stages: {}", breakdown.join(" "));
-        times.sort_by(|a, b| a.total_cmp(b));
-        let (min, median) = (times[0], times[times.len() / 2]);
         let effective = jobs.min(cpus);
         println!(
             "jobs={jobs:<2} (effective {effective:<2}) min {min:>9.2}ms   median {median:>9.2}ms"

@@ -1,5 +1,5 @@
-//! Shared harness for the experiment regenerators (one binary per paper
-//! table/figure) and the microbenchmarks.
+//! Shared plumbing for `repro_all` (the one regenerator of every paper
+//! table and figure) and the four benches that write `BENCH_*.json`.
 //!
 //! Every binary accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/1000 of
 //! the paper's population), `--seed <u64>`, and `--out <dir>` (write
@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
+use std::time::Instant;
 use v6census_census::{Census, RoutingTable};
 use v6census_core::temporal::Day;
 use v6census_synth::world::epochs;
@@ -37,7 +38,8 @@ impl Default for Opts {
 
 impl Opts {
     /// Parses `--scale`, `--seed`, `--out` from `std::env::args`.
-    /// Unknown flags abort with a usage message.
+    /// Unknown flags and a `--scale` that is not finite and positive
+    /// abort with a usage message (exit 2).
     pub fn parse() -> Opts {
         Opts::parse_from(std::env::args().skip(1).collect())
     }
@@ -55,7 +57,9 @@ impl Opts {
                 "--scale" => {
                     opts.scale = value()
                         .parse()
-                        .unwrap_or_else(|_| usage("bad --scale value"))
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| usage("--scale must be finite and positive"))
                 }
                 "--seed" => {
                     opts.seed = value()
@@ -112,52 +116,30 @@ pub fn baseline_path(name: &str) -> PathBuf {
 
 pub mod naive;
 
-/// A minimal wall-clock timing harness so `cargo bench` works with no
-/// external crates. Each benchmark runs one warm-up pass, then a fixed
-/// number of timed samples; the report shows the minimum (least noisy)
-/// and median. `--quick` (or `BENCH_QUICK=1`) trims samples for smoke
-/// runs in CI.
-pub mod timing {
-    pub use std::hint::black_box;
-    use std::time::{Duration, Instant};
+/// Times `f` over `samples` runs after one untimed warm-up and returns
+/// `(min_ms, median_ms)`. The closure's result passes through
+/// [`std::hint::black_box`] so the work is not optimized out; any
+/// assertion inside it runs on every sample.
+pub fn time_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+    std::hint::black_box(f());
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(|a, b| a.total_cmp(b));
+    (times[0], times[times.len() / 2])
+}
 
-    /// Collects and prints timings for a group of benchmarks.
-    pub struct Harness {
-        samples: usize,
-    }
-
-    impl Default for Harness {
-        fn default() -> Harness {
-            Harness { samples: 10 }
-        }
-    }
-
-    impl Harness {
-        /// Builds a harness, honoring `--quick` / `BENCH_QUICK=1`.
-        pub fn from_env() -> Harness {
-            let quick = std::env::args().any(|a| a == "--quick")
-                || std::env::var_os("BENCH_QUICK").is_some();
-            Harness {
-                samples: if quick { 2 } else { 10 },
-            }
-        }
-
-        /// Times `f` and prints one report line. The closure's result is
-        /// passed through [`black_box`] so the work is not optimized out.
-        pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-            black_box(f()); // warm-up: page in data, warm caches
-            let mut times: Vec<Duration> = (0..self.samples)
-                .map(|_| {
-                    let start = Instant::now();
-                    black_box(f());
-                    start.elapsed()
-                })
-                .collect();
-            times.sort();
-            let min = times[0];
-            let median = times[times.len() / 2];
-            println!("{name:<44} min {min:>12.2?}   median {median:>12.2?}");
-        }
+/// The sample count for a `BENCH_*.json` run: `quick` when
+/// `BENCH_QUICK` is set (CI smoke runs), `full` otherwise.
+pub fn samples(quick: usize, full: usize) -> usize {
+    if std::env::var_os("BENCH_QUICK").is_some() {
+        quick
+    } else {
+        full
     }
 }
 
@@ -219,18 +201,6 @@ impl Snapshot {
         let rt = RoutingTable::of(&world, epochs::mar2015());
         Snapshot { world, census, rt }
     }
-
-    /// Builds a snapshot covering only the March 2015 window (for the
-    /// figures that need one epoch).
-    pub fn build_mar2015(opts: &Opts) -> Snapshot {
-        let world = opts.world();
-        let mut census = Census::new_empty();
-        for day in Self::epoch_days(epochs::mar2015()) {
-            census.ingest(&world.day_log(day));
-        }
-        let rt = RoutingTable::of(&world, epochs::mar2015());
-        Snapshot { world, census, rt }
-    }
 }
 
 #[cfg(test)]
@@ -251,6 +221,14 @@ mod tests {
         assert_eq!(o.scale, 0.5);
         assert_eq!(o.seed, 9);
         assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/tmp/x")));
+    }
+
+    #[test]
+    fn time_ms_warms_up_then_samples() {
+        let mut runs = 0;
+        let (min, median) = time_ms(5, || runs += 1);
+        assert_eq!(runs, 6);
+        assert!(0.0 <= min && min <= median);
     }
 
     #[test]

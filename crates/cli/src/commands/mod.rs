@@ -92,7 +92,8 @@ COMMANDS
 EXIT CODES
   0  success, all results exact
   1  data or I/O error (bad input, strict-mode abort, unreadable files)
-  2  usage error (unknown command, missing arguments)
+  2  usage error (unknown command, missing arguments, a --scale that
+     is not finite and positive)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.

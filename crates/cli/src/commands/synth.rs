@@ -4,7 +4,7 @@
 //! durably (temp file + fsync + rename) through the [`Vfs`] layer, so
 //! `--fault-fs PLAN` can rehearse emission under injected I/O faults.
 
-use crate::{err, CliError, Flags};
+use crate::{err, usage_err, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -34,8 +34,8 @@ pub fn synth(flags: &Flags) -> Result<String, CliError> {
     let day = parse_day(flags.get("day").unwrap_or("2015-03-17"))?;
     let scale: f64 = flags.get_parsed("scale", 0.02f64)?;
     let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
-    if scale <= 0.0 {
-        return Err(err("--scale must be positive"));
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(usage_err("--scale must be finite and positive"));
     }
     let world = World::standard(WorldConfig { seed, scale });
     if let Some(dir) = flags.get("out") {
@@ -114,7 +114,9 @@ mod tests {
     #[test]
     fn flag_validation() {
         assert!(synth(&Flags::parse(&["--day".into(), "17-03".into()])).is_err());
-        assert!(synth(&Flags::parse(&["--scale".into(), "-1".into()])).is_err());
+        for scale in ["-1", "nan", "inf"] {
+            assert!(synth(&Flags::parse(&["--scale".into(), scale.into()])).is_err());
+        }
         assert!(synth(&Flags::parse(&["--day".into(), "2015-13-01".into()])).is_err());
         assert!(synth(&Flags::parse(&[
             "--out".into(),

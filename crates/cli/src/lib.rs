@@ -33,7 +33,8 @@ pub const EXIT_OK: i32 = 0;
 /// Exit code: the command failed on its data or I/O (bad input, strict
 /// abort, unreadable files).
 pub const EXIT_DATA_ERROR: i32 = 1;
-/// Exit code: usage error (unknown command, missing arguments).
+/// Exit code: usage error (unknown command, missing arguments, a
+/// `--scale` that is not finite and positive).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a
@@ -43,19 +44,36 @@ pub const EXIT_DEGRADED: i32 = 3;
 
 /// A command error carrying the message shown to the user.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub struct CliError {
+    /// The message shown to the user.
+    pub msg: String,
+    /// A usage error ([`EXIT_USAGE`]) rather than a data error
+    /// ([`EXIT_DATA_ERROR`]).
+    pub usage: bool,
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.msg)
     }
 }
 
 impl std::error::Error for CliError {}
 
-/// Shorthand constructor.
+/// Shorthand constructor for a data error.
 pub fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError {
+        msg: msg.into(),
+        usage: false,
+    }
+}
+
+/// Shorthand constructor for a usage error.
+pub fn usage_err(msg: impl Into<String>) -> CliError {
+    CliError {
+        msg: msg.into(),
+        usage: true,
+    }
 }
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.

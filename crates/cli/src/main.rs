@@ -86,6 +86,9 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
+            if e.usage {
+                std::process::exit(EXIT_USAGE);
+            }
             std::process::exit(EXIT_DATA_ERROR);
         }
     }

@@ -39,6 +39,10 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
     let out = bin().arg("no-such-command").output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
+    for scale in ["nan", "inf", "-1"] {
+        let out = bin().args(["synth", "--scale", scale]).output().unwrap();
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "--scale {scale}");
+    }
     let help = bin().arg("help").output().unwrap();
     assert_eq!(help.status.code(), Some(EXIT_OK));
     let usage = String::from_utf8(help.stdout).unwrap();

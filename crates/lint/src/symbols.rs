@@ -145,8 +145,8 @@ impl SymbolTable {
 /// Maps a workspace-relative path to (crate, module path).
 ///
 /// `crates/census/src/supervisor.rs` → (`census`, `[supervisor]`);
-/// `src/lib.rs` → (`v6census`, `[]`); `crates/bench/src/bin/fig1.rs` →
-/// (`bench`, `[bin, fig1]`). Paths outside the known layout fall back to
+/// `src/lib.rs` → (`v6census`, `[]`); `crates/bench/src/bin/repro_all.rs`
+/// → (`bench`, `[bin, repro_all]`). Paths outside the known layout fall back to
 /// the file stem as a pseudo-crate so single-file fixtures still
 /// resolve same-module calls.
 pub fn crate_and_module(rel: &str) -> (String, Vec<String>) {
