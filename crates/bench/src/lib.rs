@@ -38,8 +38,8 @@ impl Default for Opts {
 
 impl Opts {
     /// Parses `--scale`, `--seed`, `--out` from `std::env::args`.
-    /// Unknown flags and a `--scale` that is not finite and positive
-    /// abort with a usage message (exit 2).
+    /// Unknown flags and a `--scale` outside `(0, 1000]` abort with a
+    /// usage message (exit 2).
     pub fn parse() -> Opts {
         Opts::parse_from(std::env::args().skip(1).collect())
     }
@@ -58,8 +58,8 @@ impl Opts {
                     opts.scale = value()
                         .parse()
                         .ok()
-                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                        .unwrap_or_else(|| usage("--scale must be finite and positive"))
+                        .filter(|&s| WorldConfig::valid_scale(s))
+                        .unwrap_or_else(|| usage("--scale must be positive and at most 1000"))
                 }
                 "--seed" => {
                     opts.seed = value()
@@ -147,7 +147,7 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: <bin> [--scale F] [--seed N] [--out DIR]");
+    eprintln!("usage: <bin> [--scale F (0 < F <= 1000)] [--seed N] [--out DIR]");
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
 

@@ -110,7 +110,7 @@ fn writes_every_file_with_the_same_bytes_each_run() {
 
 #[test]
 fn non_finite_scale_is_a_usage_error() {
-    for scale in ["nan", "inf", "0", "-1"] {
+    for scale in ["nan", "inf", "0", "-1", "1e6", "1e300"] {
         let out = repro_all().args(["--scale", scale]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "--scale {scale}");
     }

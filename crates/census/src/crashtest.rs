@@ -3,10 +3,11 @@
 //! The serve daemon's crash story used to be demonstrated at a handful
 //! of hand-picked points (SIGKILL after publish, one torn journal).
 //! Real durability bugs live in the gaps. This harness closes them by
-//! *enumerating every gap*: it runs a full ingest→checkpoint→journal→
-//! publish pipeline against a [`MemFs`] that models the documented
-//! persistence contract (DESIGN.md "Crash consistency": what survives a
-//! crash is fsynced bytes plus completed renames/removals), counts every
+//! *enumerating every gap*: it runs the daemon's own restore and follow
+//! step ([`Follower`]: ingest→checkpoint→journal→publish) against a
+//! [`MemFs`] that models the documented persistence contract
+//! (DESIGN.md "Crash consistency": what survives a crash is fsynced
+//! bytes plus completed renames/removals), counts every
 //! durability-relevant mutation of the uninterrupted baseline run, then
 //! replays the run once per mutation ordinal with a crash scheduled at
 //! exactly that operation. At each crash point it inspects the durable
@@ -41,9 +42,8 @@ use v6census_synth::world::epochs;
 use v6census_synth::{World, WorldConfig};
 
 use crate::ingest::Census;
-use crate::serve::{restore_state, write_journal};
-use crate::snapshot::Snapshot;
-use crate::stream::{day_from_filename, ErrorMode, FileOutcome, IngestConfig, StreamIngestor};
+use crate::serve::{restore_state, Follower};
+use crate::stream::{ErrorMode, IngestConfig};
 
 /// Shape of the synthetic run the explorer drives.
 #[derive(Clone, Copy, Debug)]
@@ -131,62 +131,36 @@ fn ingest_config(fs: &Arc<MemFs>) -> IngestConfig {
     }
 }
 
-/// Runs the serve-shaped durability pipeline to completion on `fs`:
-/// restore (sweep + journal + checkpoints), then for each pending source
-/// day parse → commit → checkpoint → journal → snapshot publish. `Err`
-/// carries the first failure rendered — under a crash schedule that is
-/// the simulated crash surfacing as a typed I/O error.
+/// Runs the daemon's durability pipeline to completion on `fs`: its own
+/// startup ([`Follower::restore`]: sweep + journal + checkpoints), then
+/// its own follow step ([`Follower::step`]: parse → commit → checkpoint
+/// → journal → snapshot) for each pending source day. `Err` carries the
+/// first failure rendered — under a crash schedule that is the simulated
+/// crash surfacing as a typed I/O error.
 fn run_pipeline(fs: &Arc<MemFs>) -> Result<RunResult, String> {
-    let state = state_dir();
-    let source = source_dir();
-    let params = StabilityParams::nd(3);
-    let dense = DensityClass::new(8, 64);
-
-    let restore = restore_state(fs.as_ref(), &state);
-    let mut census = restore.census;
-    let restored = restore.restored.clone();
-    let mut committed = restore.restored;
-    let mut generations = vec![Snapshot::build(census.clone(), params, dense).generation];
-
-    let ingestor = StreamIngestor::new(ingest_config(fs));
-    let mut pending: Vec<(Day, PathBuf)> = Vec::new();
-    let entries = fs
-        .read_dir(&source)
+    let (mut follower, initial, restore) = Follower::restore(
+        ingest_config(fs),
+        Some(state_dir()),
+        StabilityParams::nd(3),
+        DensityClass::new(8, 64),
+    );
+    let mut generations = vec![initial.generation];
+    let pending = follower
+        .pending(&source_dir())
         .map_err(|e| format!("source scan failed: {e}"))?;
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = day_from_filename(&name) {
-            if !census.has_day(day) {
-                pending.push((day, path));
-            }
-        }
-    }
-    pending.sort();
-
     for (day, path) in pending {
-        let parsed = ingestor
-            .parse_file(&path)
-            .map_err(|e| format!("parse of {day} failed: [{}] {e}", e.label()))?;
-        let report = ingestor
-            .commit_parsed(parsed, &mut census, &mut committed)
-            .map_err(|e| format!("commit of {day} failed: [{}] {e}", e.label()))?;
-        if !matches!(
-            report.outcome,
-            FileOutcome::Ingested | FileOutcome::FromCheckpoint
-        ) {
-            return Err(format!("day {day} not committed ({:?})", report.outcome));
-        }
-        write_journal(fs.as_ref(), &state, &committed)
+        let followed = follower
+            .step(&path)
+            .map_err(|e| format!("ingest of {day} failed: [{}] {e}", e.label()))?
+            .ok_or_else(|| format!("day {day} not committed"))?;
+        followed
+            .journal
             .map_err(|e| format!("journal write after {day} failed: {e}"))?;
-        generations.push(Snapshot::build(census.clone(), params, dense).generation);
+        generations.push(followed.snapshot.generation);
     }
-
     Ok(RunResult {
-        committed,
-        restored,
+        committed: follower.committed,
+        restored: restore.restored,
         generations,
     })
 }
@@ -383,6 +357,5 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
 /// produced — used by fault-plan tests to prove a recovered state still
 /// classifies correctly.
 pub fn census_of_durable(fs: &MemFs, state: &Path) -> Census {
-    let restore = restore_state(fs, state);
-    restore.census
+    restore_state(fs, state).0
 }

@@ -56,7 +56,7 @@ use crate::ingest::{Census, DaySummary};
 use crate::routing::RoutingTable;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stream::{
-    checkpoint_path, day_from_filename, load_checkpoint, sweep_stale_tmp, FileOutcome,
+    checkpoint_path, day_files, day_from_filename, load_checkpoint, sweep_stale_tmp, FileOutcome,
     IngestConfig, IngestError, StreamIngestor,
 };
 
@@ -328,14 +328,7 @@ pub fn load_journal(fs: &dyn Vfs, path: &Path) -> Result<Vec<Day>, IngestError> 
     let text = match fs.read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(IngestError::Io {
-                path: path.to_path_buf(),
-                kind: e.kind(),
-                retries: 0,
-                detail: e.to_string(),
-            })
-        }
+        Err(e) => return Err(IngestError::io(path, &e, 0)),
     };
     let mut lines = text.lines();
     match lines.next() {
@@ -366,12 +359,10 @@ pub fn load_journal(fs: &dyn Vfs, path: &Path) -> Result<Vec<Day>, IngestError> 
 
 /// What startup restoration accomplished, surfaced on `/healthz` and
 /// `/stats` so operators can watch recovery happen.
+#[derive(Default)]
 pub(crate) struct RestoreOutcome {
-    pub(crate) census: Census,
     /// Days restored cleanly from journal + checkpoints, in order.
     pub(crate) restored: Vec<Day>,
-    /// `restored.len()`, as a metric.
-    pub(crate) resumed: u64,
     /// Torn journal / unreadable checkpoints skipped (their days
     /// re-ingest from source).
     pub(crate) recovered: u64,
@@ -379,24 +370,13 @@ pub(crate) struct RestoreOutcome {
     pub(crate) swept_tmp: u64,
 }
 
-impl Default for RestoreOutcome {
-    fn default() -> RestoreOutcome {
-        RestoreOutcome {
-            census: Census::new_empty(),
-            restored: Vec::new(),
-            resumed: 0,
-            recovered: 0,
-            swept_tmp: 0,
-        }
-    }
-}
-
 /// Restores a census from the journal + checkpoints. First sweeps and
 /// deletes stale `*.tmp` files an aborted atomic write left behind
 /// (counted, never silently orphaned). Days whose checkpoint is missing
 /// or corrupt are skipped (and re-ingested from source later); a torn
 /// journal restores nothing.
-pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
+pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> (Census, RestoreOutcome) {
+    let mut census = Census::new_empty();
     let mut out = RestoreOutcome {
         swept_tmp: sweep_stale_tmp(fs, state).unwrap_or(0),
         ..RestoreOutcome::default()
@@ -407,14 +387,14 @@ pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
             // Torn/corrupt journal: recover by starting empty; source
             // re-ingest rebuilds, checkpoints make it cheap.
             out.recovered = 1;
-            return out;
+            return (census, out);
         }
     };
     for day in journal_days {
         match load_checkpoint(fs, &checkpoint_path(state, day)) {
             Ok((ckpt_day, entries)) if ckpt_day == day => {
                 let summary = DaySummary::from_entries(day, entries);
-                if out.census.try_ingest(summary).is_ok() {
+                if census.try_ingest(summary).is_ok() {
                     out.restored.push(day);
                 } else {
                     out.recovered += 1;
@@ -423,8 +403,103 @@ pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
             _ => out.recovered += 1,
         }
     }
-    out.resumed = out.restored.len() as u64;
-    out
+    (census, out)
+}
+
+// ---------------------------------------------------------------------------
+// The follow step
+// ---------------------------------------------------------------------------
+
+/// What the daemon follows its source directory with: the census, every
+/// day's stable set, and the committed days in journal order. Startup
+/// ([`Follower::restore`]) and the per-day step ([`Follower::step`]) are
+/// the daemon's own; the crash explorer ([`crate::crashtest`]) drives
+/// the same two calls, so what it proves is this path, not a copy.
+pub(crate) struct Follower {
+    ingestor: StreamIngestor,
+    /// Where the journal is written; `None` disables it.
+    state_dir: Option<PathBuf>,
+    dense_class: DensityClass,
+    census: Census,
+    stability: StableDays,
+    /// Committed days in commit order (restored first).
+    pub(crate) committed: Vec<Day>,
+}
+
+/// One committed day: the snapshot to publish and the journal write's
+/// result (the daemon logs and survives a failure; the explorer stops).
+pub(crate) struct Followed {
+    pub(crate) day: Day,
+    pub(crate) snapshot: Snapshot,
+    pub(crate) journal: io::Result<()>,
+}
+
+impl Follower {
+    /// Startup: restores the census from `state_dir`'s journal and
+    /// checkpoints (when set), computes every day's stable set once, and
+    /// assembles the initial snapshot.
+    pub(crate) fn restore(
+        ingest: IngestConfig,
+        state_dir: Option<PathBuf>,
+        params: StabilityParams,
+        dense_class: DensityClass,
+    ) -> (Follower, Snapshot, RestoreOutcome) {
+        let (census, outcome) = match &state_dir {
+            Some(state) => restore_state(ingest.vfs.as_ref(), state),
+            None => (Census::new_empty(), RestoreOutcome::default()),
+        };
+        let stability = StableDays::of(census.other_daily(), params);
+        let snapshot = Snapshot::with_stability(census.clone(), &stability, dense_class);
+        let follower = Follower {
+            ingestor: StreamIngestor::new(ingest),
+            state_dir,
+            dense_class,
+            census,
+            stability,
+            committed: outcome.restored.clone(),
+        };
+        (follower, snapshot, outcome)
+    }
+
+    /// Day files in `source` not yet in the census, ascending by day.
+    pub(crate) fn pending(&self, source: &Path) -> Result<Vec<(Day, PathBuf)>, IngestError> {
+        let mut files = day_files(self.ingestor.cfg.vfs.as_ref(), source)?;
+        files.retain(|(day, _)| !self.census.has_day(*day));
+        Ok(files)
+    }
+
+    /// The follow step: parses and commits one day file (checkpoint
+    /// written when configured), rewrites the journal, folds the day
+    /// into the stable sets — O(new day + window), not O(days) — and
+    /// assembles the next snapshot. `Ok(None)`: the file is structurally
+    /// bad and was *not* committed. `Err`: a typed failure worth
+    /// retrying.
+    pub(crate) fn step(&mut self, path: &Path) -> Result<Option<Followed>, IngestError> {
+        let parsed = self.ingestor.parse_file(path)?;
+        let day = parsed.summary.as_ref().map(|s| s.day);
+        let report = self
+            .ingestor
+            .commit_parsed(parsed, &mut self.census, &mut self.committed)?;
+        let committed = matches!(
+            report.outcome,
+            FileOutcome::Ingested | FileOutcome::FromCheckpoint
+        );
+        let Some(day) = day.filter(|_| committed) else {
+            return Ok(None);
+        };
+        let journal = match &self.state_dir {
+            Some(state) => write_journal(self.ingestor.cfg.vfs.as_ref(), state, &self.committed),
+            None => Ok(()),
+        };
+        self.stability.fold(self.census.other_daily(), day);
+        let snapshot =
+            Snapshot::with_stability(self.census.clone(), &self.stability, self.dense_class);
+        Ok(Some(Followed {
+            day,
+            snapshot,
+            journal,
+        }))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -537,27 +612,23 @@ impl ServeHandle {
 /// Starts the daemon: restores journal state, publishes the initial
 /// snapshot, binds the listener, and spawns the accept + ingest threads.
 pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
-    let restore = match &cfg.state_dir {
-        None => RestoreOutcome::default(),
-        Some(state) => {
-            cfg.ingest
-                .vfs
-                .create_dir_all(state)
-                .map_err(|e| ServeError::State {
-                    path: state.clone(),
-                    detail: e.to_string(),
-                })?;
-            cfg.ingest.checkpoint_dir = Some(state.clone());
-            restore_state(cfg.ingest.vfs.as_ref(), state)
-        }
-    };
-    let RestoreOutcome {
-        census,
-        restored: restored_days,
-        resumed,
-        recovered,
-        swept_tmp,
-    } = restore;
+    if let Some(state) = &cfg.state_dir {
+        cfg.ingest
+            .vfs
+            .create_dir_all(state)
+            .map_err(|e| ServeError::State {
+                path: state.clone(),
+                detail: e.to_string(),
+            })?;
+        cfg.ingest.checkpoint_dir = Some(state.clone());
+    }
+    let (follower, initial, restore) = Follower::restore(
+        cfg.ingest.clone(),
+        cfg.state_dir.clone(),
+        cfg.params,
+        cfg.dense_class,
+    );
+    let resumed = restore.restored.len() as u64;
     let routing = if cfg.routing.is_empty() {
         None
     } else {
@@ -569,8 +640,6 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
             })?,
         )
     };
-    let stability = StableDays::of(census.other_daily(), cfg.params);
-    let initial = Snapshot::with_stability(census.clone(), &stability, cfg.dense_class);
     let ready_now = initial.generation > 0;
 
     let listener = TcpListener::bind(&cfg.bind).map_err(|e| ServeError::Bind {
@@ -606,14 +675,15 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
     shared
         .metrics
         .recovered_errors
-        .store(recovered, Ordering::Relaxed);
+        .store(restore.recovered, Ordering::Relaxed);
     shared
         .metrics
         .stale_tmp_removed
-        .store(swept_tmp, Ordering::Relaxed);
-    if swept_tmp > 0 {
+        .store(restore.swept_tmp, Ordering::Relaxed);
+    if restore.swept_tmp > 0 {
         shared.log(&format!(
-            "startup sweep removed {swept_tmp} stale tmp file(s)"
+            "startup sweep removed {} stale tmp file(s)",
+            restore.swept_tmp
         ));
     }
 
@@ -629,7 +699,7 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
     let ingest_shared = Arc::clone(&shared);
     let ingest = std::thread::Builder::new()
         .name("v6c-serve-ingest".into())
-        .spawn(move || ingest_loop(&ingest_shared, census, stability, restored_days))
+        .spawn(move || ingest_loop(&ingest_shared, follower))
         .map_err(|e| ServeError::Spawn {
             what: "ingest",
             detail: e.to_string(),
@@ -1136,16 +1206,11 @@ fn nap(shared: &Arc<Shared>, total: Duration) {
     }
 }
 
-/// Follows the source directory. `stability` holds the per-day stable
-/// sets of `census`; each committed day is folded into it, so a publish
-/// costs O(new day + window) instead of re-classifying every day.
-fn ingest_loop(
-    shared: &Arc<Shared>,
-    mut census: Census,
-    mut stability: StableDays,
-    mut committed: Vec<Day>,
-) {
-    let ingestor = StreamIngestor::new(shared.cfg.ingest.clone());
+/// Follows the source directory with [`Follower::step`], adding the
+/// daemon's policy around it: retries with backoff, quarantine, metrics,
+/// logging and shutdown. An unreadable source directory is retried at
+/// the next poll.
+fn ingest_loop(shared: &Arc<Shared>, mut follower: Follower) {
     // Per-file failure counts; a file past `max_retries` is quarantined.
     let mut failures: BTreeMap<PathBuf, u32> = BTreeMap::new();
     let max_retries = shared.cfg.ingest.max_retries;
@@ -1153,38 +1218,25 @@ fn ingest_loop(
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let mut pending = scan_source(
-            shared.cfg.ingest.vfs.as_ref(),
-            &shared.cfg.source_dir,
-            &census,
-        );
+        let mut pending = follower.pending(&shared.cfg.source_dir).unwrap_or_default();
         pending.retain(|(_, path)| failures.get(path).copied().unwrap_or(0) <= max_retries);
         let mut backoff_after_error = false;
-        for (day, path) in pending {
+        for (_, path) in pending {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match ingest_one(&ingestor, &path, &mut census, &mut committed) {
-                Ok(Some(changed)) => {
+            match follower.step(&path) {
+                Ok(Some(followed)) => {
                     failures.remove(&path);
-                    if let Some(state) = &shared.cfg.state_dir {
-                        if let Err(e) =
-                            write_journal(shared.cfg.ingest.vfs.as_ref(), state, &committed)
-                        {
-                            shared.log(&format!("journal write failed: {e}"));
-                        }
+                    if let Err(e) = followed.journal {
+                        shared.log(&format!("journal write failed: {e}"));
                     }
-                    stability.fold(census.other_daily(), changed);
-                    let next = Snapshot::with_stability(
-                        census.clone(),
-                        &stability,
-                        shared.cfg.dense_class,
-                    );
-                    let generation = shared.cell.publish(next);
+                    let generation = shared.cell.publish(followed.snapshot);
                     ServeMetrics::bump(&shared.metrics.ingested_days);
                     shared.ready.store(true, Ordering::Release);
                     shared.log(&format!(
-                        "ingested {day}, published generation {generation}"
+                        "ingested {}, published generation {generation}",
+                        followed.day
                     ));
                 }
                 Ok(None) => {
@@ -1232,47 +1284,6 @@ fn ingest_loop(
             nap(shared, shared.cfg.poll_interval);
         }
     }
-}
-
-/// Day files in the source dir not yet in the census, ascending by day.
-fn scan_source(fs: &dyn Vfs, dir: &Path, census: &Census) -> Vec<(Day, PathBuf)> {
-    let mut out: Vec<(Day, PathBuf)> = Vec::new();
-    let Ok(entries) = fs.read_dir(dir) else {
-        return out;
-    };
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = day_from_filename(&name) {
-            if !census.has_day(day) {
-                out.push((day, path));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Parses and commits one day file. `Ok(Some(day))`: `day`'s set was
-/// committed (checkpoint written when configured). `Ok(None)`: the file
-/// is structurally bad and was *not* committed. `Err`: a typed failure
-/// worth retrying.
-fn ingest_one(
-    ingestor: &StreamIngestor,
-    path: &Path,
-    census: &mut Census,
-    committed: &mut Vec<Day>,
-) -> Result<Option<Day>, IngestError> {
-    let parsed = ingestor.parse_file(path)?;
-    let day = parsed.summary.as_ref().map(|s| s.day);
-    let report = ingestor.commit_parsed(parsed, census, committed)?;
-    let ok = matches!(
-        report.outcome,
-        FileOutcome::Ingested | FileOutcome::FromCheckpoint
-    );
-    Ok(day.filter(|_| ok))
 }
 
 #[cfg(test)]
@@ -1343,14 +1354,13 @@ mod tests {
         // aborted atomic write also left a stale tmp file behind.
         write_journal(&RealFs, &dir, &[d0, d0 + 1]).unwrap();
         std::fs::write(dir.join(".ckpt-2015-03-18.tsv.tmp"), "torn").unwrap();
-        let out = restore_state(&RealFs, &dir);
+        let (census, out) = restore_state(&RealFs, &dir);
         assert_eq!(out.restored, vec![d0]);
-        assert_eq!(out.resumed, 1);
         assert_eq!(out.recovered, 1);
         assert_eq!(out.swept_tmp, 1);
         assert!(!dir.join(".ckpt-2015-03-18.tsv.tmp").exists());
-        assert!(out.census.has_day(d0));
-        assert!(!out.census.has_day(d0 + 1));
+        assert!(census.has_day(d0));
+        assert!(!census.has_day(d0 + 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,7 +28,7 @@ use v6census_trie::AddrSet;
 use crate::ingest::Census;
 
 /// Per-day stability counts — the `/stats` stability histogram.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DayStat {
     /// The observation day.
     pub day: Day,
@@ -40,7 +40,7 @@ pub struct DayStat {
 
 /// Aggregate figures precomputed at publish time so `/stats` is a read,
 /// not a computation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SnapshotStats {
     /// Reference-day counts by scheme category, in a stable order:
     /// `(label, count)` for teredo / isatap / 6to4 / other / eui64.

@@ -13,8 +13,12 @@
 //!   lenient modes, retry-with-backoff for transient I/O, duplicate-day
 //!   policy, and checkpointing for `--resume`.
 //! * [`StreamIngestor`] — reads files line-by-line in bounded memory,
-//!   validates the header and the `# end` integrity trailer, and builds
-//!   a [`Census`] plus a per-day [`IngestReport`] health report.
+//!   validates the header and the `# end` integrity trailer
+//!   ([`StreamIngestor::parse_file`]), and commits each day to a
+//!   [`Census`] ([`StreamIngestor::commit_parsed`]). The batch driver
+//!   over a directory is [`crate::supervisor::run_census`], which
+//!   returns the per-day [`IngestReport`] health report.
+//! * [`day_files`] — the one directory listing: which files are days.
 //!
 //! Checkpoints are one file per ingested day (written atomically via
 //! temp-file + rename), holding the parsed `(address, hits)` entries.
@@ -92,8 +96,8 @@ pub enum IngestError {
         /// The file carrying the repeat.
         path: PathBuf,
     },
-    /// A file's day precedes one already ingested (streaming order
-    /// violation; only possible via [`StreamIngestor::ingest_paths`]).
+    /// A file's day precedes one already ingested (a late delivery to
+    /// the `serve` follower).
     OutOfOrderDay {
         /// The late-arriving day.
         day: Day,
@@ -135,6 +139,16 @@ pub enum IngestError {
 }
 
 impl IngestError {
+    /// An [`IngestError::Io`] on `path`, after `retries` retries.
+    pub(crate) fn io(path: &Path, e: &io::Error, retries: u32) -> IngestError {
+        IngestError::Io {
+            path: path.to_path_buf(),
+            kind: e.kind(),
+            retries,
+            detail: e.to_string(),
+        }
+    }
+
     /// A stable short label per variant, for health reports and tests.
     pub fn label(&self) -> &'static str {
         match self {
@@ -316,19 +330,27 @@ pub fn with_retry<T>(
     }
 }
 
-/// Parses the leading `YYYY-MM-DD` of a file name.
+/// Parses the leading `YYYY-MM-DD` of a file name through
+/// [`Day::parse_ymd`]: `2015-03-17.log` is a day file, while
+/// `notes.txt` and an impossible date such as `2015-02-30.log` are not.
 pub fn day_from_filename(name: &str) -> Option<Day> {
-    let b = name.as_bytes();
-    if b.len() < 10 || b.get(4) != Some(&b'-') || b.get(7) != Some(&b'-') {
-        return None;
+    name.get(..10).and_then(Day::parse_ymd)
+}
+
+/// Lists the day files under `dir`: every entry whose name starts with a
+/// valid `YYYY-MM-DD`, sorted by day (then path). Batch `census`, the
+/// `serve` follower, the crash explorer and `stability` all list through
+/// it, so they agree on which files are days.
+pub fn day_files(fs: &dyn Vfs, dir: &Path) -> Result<Vec<(Day, PathBuf)>, IngestError> {
+    let mut days = Vec::new();
+    for path in fs.read_dir(dir).map_err(|e| IngestError::io(dir, &e, 0))? {
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        if let Some(day) = name.as_deref().and_then(day_from_filename) {
+            days.push((day, path));
+        }
     }
-    let y: i32 = name.get(0..4)?.parse().ok()?;
-    let m: u8 = name.get(5..7)?.parse().ok()?;
-    let d: u8 = name.get(8..10)?.parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some(Day::from_ymd(y, m, d))
+    days.sort();
+    Ok(days)
 }
 
 /// Parses a day-log header: `# synthetic day YYYY-MM-DD: N unique ...`.
@@ -488,7 +510,10 @@ impl ParsedFile {
     }
 }
 
-/// Streaming, fault-tolerant ingestion over day-log files.
+/// Streaming, fault-tolerant ingestion of one day-log file at a time:
+/// [`StreamIngestor::parse_file`] then [`StreamIngestor::commit_parsed`].
+/// Directories are driven by [`crate::supervisor::run_census`] (batch)
+/// and the `serve` follower, both listing through [`day_files`].
 #[derive(Clone, Debug, Default)]
 pub struct StreamIngestor {
     /// The configuration.
@@ -499,97 +524,6 @@ impl StreamIngestor {
     /// Creates an ingestor.
     pub fn new(cfg: IngestConfig) -> StreamIngestor {
         StreamIngestor { cfg }
-    }
-
-    /// Ingests every `*.log`-style day file under `dir`, in day order.
-    /// In lenient mode the `Err` arm is unreachable; in strict mode the
-    /// first error aborts.
-    pub fn ingest_dir(&self, dir: &Path) -> Result<IngestReport, IngestError> {
-        let entries = self.cfg.vfs.read_dir(dir).map_err(|e| IngestError::Io {
-            path: dir.to_path_buf(),
-            kind: e.kind(),
-            retries: 0,
-            detail: e.to_string(),
-        })?;
-        let mut paths: Vec<(Day, PathBuf)> = Vec::new();
-        for path in entries {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if let Some(day) = day_from_filename(&name) {
-                paths.push((day, path));
-            }
-        }
-        paths.sort();
-        self.ingest_paths(paths.into_iter().map(|(_, p)| p).collect())
-    }
-
-    /// Ingests an explicit file list in the given order (the streaming
-    /// case: late or out-of-order deliveries are detected, not assumed
-    /// away by sorting).
-    pub fn ingest_paths(&self, paths: Vec<PathBuf>) -> Result<IngestReport, IngestError> {
-        let mut census = Census::new_empty();
-        let mut files = Vec::new();
-        let mut ingested_days: Vec<Day> = Vec::new();
-        // Sweep aborted-write leftovers before resume can see them. A
-        // failed sweep is not fatal — the stale files simply survive
-        // until the next run.
-        let stale_tmp_removed = match &self.cfg.checkpoint_dir {
-            Some(dir) => sweep_stale_tmp(self.cfg.vfs.as_ref(), dir).unwrap_or(0),
-            None => 0,
-        };
-        for path in paths {
-            if self
-                .cfg
-                .max_days
-                .is_some_and(|limit| ingested_days.len() >= limit)
-            {
-                let day = day_from_filename(
-                    &path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default(),
-                )
-                .unwrap_or(Day(0));
-                files.push(FileReport {
-                    path,
-                    day,
-                    data_lines: 0,
-                    bad_lines: 0,
-                    outcome: FileOutcome::Skipped,
-                    errors: Vec::new(),
-                });
-                continue;
-            }
-            let report = self.ingest_one(&path, &mut census, &mut ingested_days)?;
-            files.push(report);
-        }
-        let gaps = match (ingested_days.iter().min(), ingested_days.iter().max()) {
-            (Some(&first), Some(&last)) => first
-                .range_inclusive(last)
-                .filter(|d| !census.has_day(*d))
-                .collect(),
-            _ => Vec::new(),
-        };
-        Ok(IngestReport {
-            census,
-            files,
-            gaps,
-            stale_tmp_removed,
-        })
-    }
-
-    /// Processes one file end-to-end: checkpoint short-circuit, retrying
-    /// read, validation, budget, duplicate policy, checkpoint write.
-    fn ingest_one(
-        &self,
-        path: &Path,
-        census: &mut Census,
-        ingested_days: &mut Vec<Day>,
-    ) -> Result<FileReport, IngestError> {
-        let parsed = self.parse_file(path)?;
-        self.commit_parsed(parsed, census, ingested_days)
     }
 
     /// The census-independent half of ingestion: reads and fully
@@ -656,14 +590,14 @@ impl StreamIngestor {
         let parse = match with_retry(&self.cfg, || self.read_and_parse(path)) {
             Ok((p, _retries)) => p,
             Err((e, retries)) => {
-                let err = IngestError::Io {
-                    path: path.to_path_buf(),
-                    kind: e.kind(),
-                    retries,
-                    detail: e.to_string(),
-                };
                 return self
-                    .fail(path, file_day, 0, 0, vec![err])
+                    .fail(
+                        path,
+                        file_day,
+                        0,
+                        0,
+                        vec![IngestError::io(path, &e, retries)],
+                    )
                     .map(ParsedFile::failed);
             }
         };
@@ -773,12 +707,7 @@ impl StreamIngestor {
         if committed {
             if let (Some(entries), Some(dir)) = (&checkpoint_entries, &self.cfg.checkpoint_dir) {
                 if let Err(e) = write_checkpoint(self.cfg.vfs.as_ref(), dir, day, entries) {
-                    let err = IngestError::Io {
-                        path: checkpoint_path(dir, day),
-                        kind: e.kind(),
-                        retries: 0,
-                        detail: e.to_string(),
-                    };
+                    let err = IngestError::io(&checkpoint_path(dir, day), &e, 0);
                     if self.cfg.mode == ErrorMode::Strict {
                         return Err(err);
                     }
@@ -1047,12 +976,9 @@ pub fn load_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<(Day, Vec<(Addr, u64
         path: path.to_path_buf(),
         reason,
     };
-    let text = fs.read_to_string(path).map_err(|e| IngestError::Io {
-        path: path.to_path_buf(),
-        kind: e.kind(),
-        retries: 0,
-        detail: e.to_string(),
-    })?;
+    let text = fs
+        .read_to_string(path)
+        .map_err(|e| IngestError::io(path, &e, 0))?;
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| bad("empty file".into()))?;
     let rest = header
@@ -1134,6 +1060,45 @@ mod tests {
         assert!(day_from_filename("notes.txt").is_none());
         assert!(day_from_filename("2015-13-01.log").is_none());
         assert!(day_from_filename("20150317").is_none());
+        // Impossible calendar dates are not day files (no panic).
+        assert!(day_from_filename("2015-02-30.log").is_none());
+        assert!(day_from_filename("2015-02-29.log").is_none());
+        assert_eq!(
+            day_from_filename("2016-02-29.log"),
+            Some(Day::from_ymd(2016, 2, 29))
+        );
+    }
+
+    #[test]
+    fn day_files_lists_only_valid_dates_in_day_order() {
+        let dir = std::env::temp_dir().join(format!(
+            "v6census-dayfiles-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in [
+            "2015-03-18.log",
+            "2015-03-17.log",
+            "2015-02-30.log",
+            "notes.txt",
+            ".2015-03-19.log.partial",
+        ] {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        let listed = day_files(&RealFs, &dir).unwrap();
+        let d = Day::from_ymd(2015, 3, 17);
+        assert_eq!(
+            listed,
+            vec![
+                (d, dir.join("2015-03-17.log")),
+                (d + 1, dir.join("2015-03-18.log")),
+            ]
+        );
+        let missing = day_files(&RealFs, &dir.join("nope")).unwrap_err();
+        assert_eq!(missing.label(), "io");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1142,6 +1107,7 @@ mod tests {
         assert_eq!(d, Day::from_ymd(2015, 3, 17));
         assert_eq!(n, 1234);
         assert!(parse_header("# something else").is_none());
+        assert!(parse_header("# synthetic day 2015-02-30: 12 unique client addrs").is_none());
     }
 
     #[test]

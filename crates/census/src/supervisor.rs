@@ -34,7 +34,7 @@ use crate::stream::{
 };
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
@@ -755,35 +755,10 @@ impl SupervisedRun {
     }
 }
 
-/// Lists the day files under `dir` exactly as sequential
-/// [`StreamIngestor::ingest_dir`] would: day-named files, sorted by day.
-fn day_files(
-    fs: &dyn v6census_core::vfs::Vfs,
-    dir: &Path,
-) -> Result<Vec<(Day, PathBuf)>, IngestError> {
-    let entries = fs.read_dir(dir).map_err(|e| IngestError::Io {
-        path: dir.to_path_buf(),
-        kind: e.kind(),
-        retries: 0,
-        detail: e.to_string(),
-    })?;
-    let mut paths: Vec<(Day, PathBuf)> = Vec::new();
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = crate::stream::day_from_filename(&name) {
-            paths.push((day, path));
-        }
-    }
-    paths.sort();
-    Ok(paths)
-}
-
 /// Runs the supervised census pipeline over a directory of day logs:
 /// parallel per-file parse, serial in-order commit, then the analysis
-/// stages (Table 1, stability, sharded densify) under supervision.
+/// stages (Table 1, stability, sharded densify) under supervision. Its
+/// ingest stage is the one batch driver from day files to a census.
 ///
 /// The `Err` arm fires only for strict-mode aborts and an unreadable
 /// directory; every contained failure is reported through the manifest.
@@ -798,7 +773,7 @@ pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, Ing
         }
         None => 0,
     };
-    let paths = day_files(cfg.ingest.vfs.as_ref(), dir)?;
+    let paths = crate::stream::day_files(cfg.ingest.vfs.as_ref(), dir)?;
 
     // Stage 1: ingest. One unit per day file; the parse half runs in
     // parallel, the census commit is serial in day order below.

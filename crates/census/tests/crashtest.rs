@@ -23,7 +23,8 @@ use std::sync::Arc;
 use v6census_census::crashtest::{self, CrashTestConfig};
 use v6census_census::serve::{journal_path, load_journal, write_journal};
 use v6census_census::snapshot::Snapshot;
-use v6census_census::stream::{IngestConfig, IngestReport, StreamIngestor};
+use v6census_census::stream::{IngestConfig, IngestReport};
+use v6census_census::supervisor::{run_census, PipelineConfig};
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
 use v6census_core::vfs::{FaultFs, FaultPlan, MemFs, Vfs};
@@ -64,7 +65,11 @@ fn ingest_over(
         vfs: fs,
         ..IngestConfig::default()
     };
-    StreamIngestor::new(cfg).ingest_dir(&source_dir())
+    let cfg = PipelineConfig {
+        ingest: cfg,
+        ..PipelineConfig::default()
+    };
+    run_census(&source_dir(), &cfg).map(|run| run.report)
 }
 
 /// What a host reboot sees: only the durable side of the filesystem.

@@ -8,8 +8,9 @@
 use std::path::{Path, PathBuf};
 use v6census_census::stream::{
     checkpoint_path, load_checkpoint, DuplicatePolicy, ErrorMode, FileOutcome, IngestConfig,
-    IngestError, StreamIngestor,
+    IngestError, IngestReport,
 };
+use v6census_census::supervisor::{run_census, PipelineConfig};
 use v6census_census::tables::{table1, EpochSpec};
 use v6census_core::temporal::{Day, GapPolicy, StabilityParams, VerdictQuality};
 use v6census_synth::faults::day_file_name;
@@ -27,6 +28,15 @@ fn tempdir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Ingests `dir` through the batch census and returns its ingest report.
+fn ingest(dir: &Path, cfg: IngestConfig) -> Result<IngestReport, IngestError> {
+    let cfg = PipelineConfig {
+        ingest: cfg,
+        ..PipelineConfig::default()
+    };
+    run_census(dir, &cfg).map(|run| run.report)
 }
 
 /// Writes the shared 32-day faulty fixture: one corrupt, one truncated,
@@ -59,11 +69,11 @@ fn write_fixture(dir: &Path) -> (World, Day, Day) {
 fn faulty_census_completes_and_reports_every_fault() {
     let logs = tempdir("logs");
     let (_, first, last) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
+    let cfg = IngestConfig {
         max_bad_ratio: 0.05,
         ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    };
+    let report = ingest(&logs, cfg).unwrap();
 
     // 32 planned days, one never written, one duplicated => 32 files.
     assert_eq!(report.files.len(), 32);
@@ -170,11 +180,11 @@ fn faulty_census_completes_and_reports_every_fault() {
 fn error_budget_zero_rejects_the_corrupt_day() {
     let logs = tempdir("budget");
     let (_, first, _) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
+    let cfg = IngestConfig {
         max_bad_ratio: 0.0,
         ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    };
+    let report = ingest(&logs, cfg).unwrap();
     let corrupt = report.files.iter().find(|f| f.day == first + 3).unwrap();
     assert_eq!(corrupt.outcome, FileOutcome::Failed);
     assert!(matches!(
@@ -193,11 +203,11 @@ fn error_budget_zero_rejects_the_corrupt_day() {
 fn strict_mode_aborts_on_first_fault() {
     let logs = tempdir("strict");
     write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
+    let cfg = IngestConfig {
         mode: ErrorMode::Strict,
         ..IngestConfig::default()
-    });
-    let err = match ingestor.ingest_dir(&logs) {
+    };
+    let err = match ingest(&logs, cfg) {
         Err(e) => e,
         Ok(_) => panic!("strict mode must abort on the corrupt day"),
     };
@@ -209,12 +219,12 @@ fn strict_mode_aborts_on_first_fault() {
 fn merge_policy_accumulates_duplicate_deliveries() {
     let logs = tempdir("merge");
     let (_, first, _) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
+    let cfg = IngestConfig {
         max_bad_ratio: 0.05,
         on_duplicate: DuplicatePolicy::Merge,
         ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    };
+    let report = ingest(&logs, cfg).unwrap();
     let dups: Vec<_> = report
         .files
         .iter()
@@ -229,11 +239,13 @@ fn merge_policy_accumulates_duplicate_deliveries() {
     );
     // Identical deliveries: merged hits double, address set unchanged.
     let merged = report.census.summary(first + 12).unwrap();
-    let reject = StreamIngestor::new(IngestConfig {
-        max_bad_ratio: 0.05,
-        ..IngestConfig::default()
-    })
-    .ingest_dir(&logs)
+    let reject = ingest(
+        &logs,
+        IngestConfig {
+            max_bad_ratio: 0.05,
+            ..IngestConfig::default()
+        },
+    )
     .unwrap();
     let single = reject.census.summary(first + 12).unwrap();
     assert_eq!(merged.total(), single.total());
@@ -254,19 +266,23 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
     };
 
     // Reference run: uninterrupted, no checkpoints involved.
-    let uninterrupted = StreamIngestor::new(IngestConfig {
-        checkpoint_dir: None,
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let uninterrupted = ingest(
+        &logs,
+        IngestConfig {
+            checkpoint_dir: None,
+            ..base.clone()
+        },
+    )
     .unwrap();
 
     // Interrupted run: killed after 10 ingested days...
-    let killed = StreamIngestor::new(IngestConfig {
-        max_days: Some(10),
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let killed = ingest(
+        &logs,
+        IngestConfig {
+            max_days: Some(10),
+            ..base.clone()
+        },
+    )
     .unwrap();
     assert_eq!(killed.census.days().count(), 10);
     assert!(
@@ -281,11 +297,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
     }
 
     // ...then resumed from the checkpoints.
-    let resumed = StreamIngestor::new(IngestConfig {
-        resume: true,
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let resumed = ingest(
+        &logs,
+        IngestConfig {
+            resume: true,
+            ..base.clone()
+        },
+    )
     .unwrap();
     let from_ckpt = resumed
         .files
@@ -362,9 +380,7 @@ fn clean_fixture_has_no_errors() {
         .write_day_files(&world, first, first + 4, &logs, &FaultSpec::default())
         .unwrap();
     assert!(logs.join(day_file_name(first)).exists());
-    let report = StreamIngestor::new(IngestConfig::default())
-        .ingest_dir(&logs)
-        .unwrap();
+    let report = ingest(&logs, IngestConfig::default()).unwrap();
     assert!(report.errors().is_empty(), "{:?}", report.errors());
     assert!(report.gaps.is_empty());
     assert_eq!(report.census.days().count(), 5);

@@ -213,3 +213,32 @@ fn torn_journal_recovers_by_reingesting_from_source() {
         let _ = std::fs::remove_dir_all(d);
     }
 }
+
+#[test]
+fn impossible_date_decoys_do_not_stop_the_follower() {
+    let source = tempdir("decoy");
+    let w = world();
+    for offset in 0..3 {
+        write_day(&source, &w, offset);
+    }
+    // Named for days that do not exist; one even carries a real log.
+    std::fs::write(
+        source.join("2015-02-30.log"),
+        w.day_log(epochs::mar2015() + 3).to_text(),
+    )
+    .unwrap();
+    std::fs::write(source.join("2015-13-01.log"), "not a log\n").unwrap();
+    std::fs::write(source.join("notes.txt"), "not a log\n").unwrap();
+    let handle = spawn(fast_config(source.clone(), None)).unwrap();
+    wait_for_generation(handle.addr(), 3);
+    let (status, body) = get(handle.addr(), "/readyz");
+    assert_eq!(status, 200, "{body}");
+    let published: Vec<_> = handle.snapshot().census.days().collect();
+    let want: Vec<_> = (0..3).map(|i| epochs::mar2015() + i).collect();
+    assert_eq!(published, want);
+    let report = handle.shutdown();
+    assert_eq!(report.generation, 3);
+    assert_eq!(report.metrics.quarantined_files, 0);
+    assert_eq!(report.metrics.ingest_failures, 0);
+    let _ = std::fs::remove_dir_all(&source);
+}

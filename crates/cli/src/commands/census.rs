@@ -143,7 +143,7 @@ pub fn census(flags: &Flags) -> Result<(String, Quality), CliError> {
         .parse()
         .map_err(|e| err(format!("{e}")))?;
     let reference = match flags.get("reference") {
-        Some(s) => Some(super::synth_day(s)?),
+        Some(s) => Some(super::parse_day("reference", s)?),
         // None: the supervisor defaults to the middle ingested day, so
         // the ±7d window fits.
         None => None,

@@ -1,6 +1,9 @@
 //! The subcommand implementations. Each takes its input text (already
 //! read) plus parsed [`crate::Flags`] and returns the output string.
 
+use crate::{usage_err, CliError};
+use v6census_core::temporal::Day;
+
 mod aggregate;
 mod census;
 mod classify;
@@ -22,12 +25,17 @@ pub use mra::mra;
 pub use profile::profile;
 pub use ptr::ptr;
 pub use serve::{serve, serve_config_from_flags};
-pub use stability::{day_from_name, stability, DayFile};
+pub use stability::{stability, DayFile};
 pub use stable::stable;
 pub use synth::synth;
 pub use targets::targets;
 
-pub(crate) use synth::parse_day as synth_day;
+/// Parses the `YYYY-MM-DD` value of `--{flag}` with [`Day::parse_ymd`];
+/// anything else, an impossible date included, is a usage error.
+pub(crate) fn parse_day(flag: &str, s: &str) -> Result<Day, CliError> {
+    Day::parse_ymd(s)
+        .ok_or_else(|| usage_err(format!("bad --{flag} {s:?}; expected a date YYYY-MM-DD")))
+}
 
 /// Usage text for the tool.
 pub const USAGE: &str = "\
@@ -87,13 +95,15 @@ COMMANDS
                         [--threshold 0.01]
   synth                 emit a synthetic day log (addr, hits, true kind)
                         [--day 2015-03-17] [--scale 0.02] [--seed N]
+                        (0 < scale <= 1000; 1.0 is 1/1000 of the paper's
+                        populations, 1000 the paper's own size)
   help                  this text
 
 EXIT CODES
   0  success, all results exact
   1  data or I/O error (bad input, strict-mode abort, unreadable files)
-  2  usage error (unknown command, missing arguments, a --scale that
-     is not finite and positive)
+  2  usage error (unknown command, missing arguments, a --scale outside
+     (0, 1000], a --day or --reference that is not a real YYYY-MM-DD)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.

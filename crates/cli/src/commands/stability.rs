@@ -1,8 +1,9 @@
 //! `v6census stability` — the paper's full nd-stable analysis (§5.1)
 //! over user-supplied daily observation files.
 //!
-//! Input: a directory of files named `YYYY-MM-DD` (any extension), each
-//! holding one address per line. Output: per-day active counts and the
+//! Input: a directory of files whose names start with a valid
+//! `YYYY-MM-DD` (any suffix; listed by `census::stream::day_files`, as
+//! for `census`), each holding one address per line. Output: per-day active counts and the
 //! nd-stable / not-nd-stable partition for a reference day, for both
 //! addresses and /64s — i.e. one column of the paper's Table 2a/2b for
 //! your own data.
@@ -18,19 +19,6 @@ pub struct DayFile {
     pub day: Day,
     /// File contents (one address per line).
     pub text: String,
-}
-
-/// Parses `YYYY-MM-DD` from the start of a file stem.
-pub fn day_from_name(name: &str) -> Option<Day> {
-    let stem = name.split('.').next()?;
-    let mut parts = stem.splitn(3, '-');
-    let y: i32 = parts.next()?.parse().ok()?;
-    let m: u8 = parts.next()?.parse().ok()?;
-    let d: u8 = parts.next()?.parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some(Day::from_ymd(y, m, d))
 }
 
 /// Runs the subcommand over pre-read day files (main.rs handles I/O).
@@ -58,7 +46,7 @@ pub fn stability(days: Vec<DayFile>, flags: &Flags) -> Result<String, CliError> 
         obs.record(f.day, v6census_trie::AddrSet::from_iter(addrs));
     }
     let reference = match flags.get("reference") {
-        Some(s) => super::synth_day(s)?,
+        Some(s) => super::parse_day("reference", s)?,
         None => {
             // Default: the middle observed day.
             let all: Vec<Day> = obs.days().collect();
@@ -118,10 +106,11 @@ pub fn stability(days: Vec<DayFile>, flags: &Flags) -> Result<String, CliError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6census_census::stream::day_from_filename;
 
     fn dayfile(date: &str, addrs: &[&str]) -> DayFile {
         DayFile {
-            day: day_from_name(date).unwrap(),
+            day: day_from_filename(date).unwrap(),
             text: addrs.join("\n"),
         }
     }
@@ -129,15 +118,21 @@ mod tests {
     #[test]
     fn date_parsing_from_names() {
         assert_eq!(
-            day_from_name("2015-03-17.txt"),
+            day_from_filename("2015-03-17.txt"),
             Some(Day::from_ymd(2015, 3, 17))
         );
         assert_eq!(
-            day_from_name("2015-03-17"),
+            day_from_filename("2015-03-17"),
             Some(Day::from_ymd(2015, 3, 17))
         );
-        assert_eq!(day_from_name("notes.txt"), None);
-        assert_eq!(day_from_name("2015-13-17.txt"), None);
+        assert_eq!(day_from_filename("notes.txt"), None);
+        assert_eq!(day_from_filename("2015-13-17.txt"), None);
+        // The same names `census` accepts: zero-padded, real dates only.
+        assert_eq!(day_from_filename("2015-3-7.txt"), None);
+        assert_eq!(day_from_filename("2015-02-30.txt"), None);
+        let bad_reference = Flags::parse(&["--reference".into(), "2015-02-30".into()]);
+        let days = vec![dayfile("2015-03-17.txt", &["2001:db8::a"])];
+        assert!(stability(days, &bad_reference).unwrap_err().usage);
     }
 
     #[test]

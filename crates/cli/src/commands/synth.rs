@@ -12,30 +12,13 @@ use v6census_core::temporal::Day;
 use v6census_core::vfs::{FaultFs, FaultPlan, RealFs, Vfs};
 use v6census_synth::{World, WorldConfig};
 
-/// Parses `YYYY-MM-DD`.
-pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
-    let mut parts = s.split('-');
-    let (Some(ys), Some(ms), Some(ds), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(err(format!("bad --day {s:?}; expected YYYY-MM-DD")));
-    };
-    let y: i32 = ys.parse().map_err(|_| err("bad year"))?;
-    let m: u8 = ms.parse().map_err(|_| err("bad month"))?;
-    let d: u8 = ds.parse().map_err(|_| err("bad day"))?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return Err(err(format!("bad --day {s:?}")));
-    }
-    Ok(Day::from_ymd(y, m, d))
-}
-
 /// Runs the subcommand.
 pub fn synth(flags: &Flags) -> Result<String, CliError> {
-    let day = parse_day(flags.get("day").unwrap_or("2015-03-17"))?;
+    let day = super::parse_day("day", flags.get("day").unwrap_or("2015-03-17"))?;
     let scale: f64 = flags.get_parsed("scale", 0.02f64)?;
     let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(usage_err("--scale must be finite and positive"));
+    if !WorldConfig::valid_scale(scale) {
+        return Err(usage_err("--scale must be positive and at most 1000"));
     }
     let world = World::standard(WorldConfig { seed, scale });
     if let Some(dir) = flags.get("out") {
@@ -114,10 +97,15 @@ mod tests {
     #[test]
     fn flag_validation() {
         assert!(synth(&Flags::parse(&["--day".into(), "17-03".into()])).is_err());
-        for scale in ["-1", "nan", "inf"] {
-            assert!(synth(&Flags::parse(&["--scale".into(), scale.into()])).is_err());
+        for scale in ["-1", "nan", "inf", "1e6", "1e300"] {
+            let e = synth(&Flags::parse(&["--scale".into(), scale.into()])).unwrap_err();
+            assert!(e.usage, "--scale {scale}");
         }
         assert!(synth(&Flags::parse(&["--day".into(), "2015-13-01".into()])).is_err());
+        for day in ["2015-02-30", "2015-3-7"] {
+            let e = synth(&Flags::parse(&["--day".into(), day.into()])).unwrap_err();
+            assert!(e.usage, "--day {day}");
+        }
         assert!(synth(&Flags::parse(&[
             "--out".into(),
             "x".into(),

@@ -34,7 +34,8 @@ pub const EXIT_OK: i32 = 0;
 /// abort, unreadable files).
 pub const EXIT_DATA_ERROR: i32 = 1;
 /// Exit code: usage error (unknown command, missing arguments, a
-/// `--scale` that is not finite and positive).
+/// `--scale` outside `(0, 1000]`, a date flag that is not a real
+/// `YYYY-MM-DD`).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a

@@ -5,9 +5,10 @@
 //! 2 usage error, 3 completed-but-degraded (see the run manifest).
 
 use std::io::Read;
+use v6census_census::stream::day_files;
 use v6census_cli::commands::{
-    aggregate, census, classify, day_from_name, dense, mra, profile, ptr, serve, stability, stable,
-    synth, targets, DayFile, USAGE,
+    aggregate, census, classify, dense, mra, profile, ptr, serve, stability, stable, synth,
+    targets, DayFile, USAGE,
 };
 use v6census_cli::{Flags, EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_USAGE};
 use v6census_core::quality::Quality;
@@ -95,16 +96,12 @@ fn main() {
 }
 
 fn read_day_files(dir: &str) -> Result<Vec<DayFile>, v6census_cli::CliError> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| v6census_cli::err(format!("cannot read --dir {dir}: {e}")))?;
+    let files = day_files(&v6census_core::vfs::RealFs, std::path::Path::new(dir))
+        .map_err(|e| v6census_cli::err(format!("cannot read --dir: {e}")))?;
     let mut days = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(day) = day_from_name(&name.to_string_lossy()) else {
-            continue;
-        };
-        let text = std::fs::read_to_string(entry.path())
-            .map_err(|e| v6census_cli::err(format!("cannot read {:?}: {e}", entry.path())))?;
+    for (day, path) in files {
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| v6census_cli::err(format!("cannot read {path:?}: {e}")))?;
         days.push(DayFile { day, text });
     }
     Ok(days)

@@ -142,3 +142,39 @@ fn strict_mode_fails_fast_via_the_command() {
     assert!(msg.contains("2015-03-18"), "{msg}");
     std::fs::remove_dir_all(&logs).unwrap();
 }
+
+#[test]
+fn impossible_date_names_are_ignored_and_such_headers_are_bad_headers() {
+    let logs = tempdir("decoy");
+    let world = World::standard(WorldConfig {
+        seed: 37,
+        scale: 0.002,
+    });
+    let first = epochs::mar2015();
+    FaultInjector::new(0xc13)
+        .write_day_files(&world, first, first + 5, &logs, &FaultSpec::default())
+        .unwrap();
+    let args = vec![
+        logs.display().to_string(),
+        format!("--reference={}", first + 2),
+        "--no-timings".to_string(),
+    ];
+    let (clean, clean_quality) = census(&flags(&args)).unwrap();
+
+    // A decoy named for a day that does not exist, carrying a real log,
+    // is not a day file: the report is byte-identical without it.
+    let real = std::fs::read_to_string(logs.join("2015-03-18.log")).unwrap();
+    std::fs::write(logs.join("2015-02-30.log"), &real).unwrap();
+    let (decoyed, decoyed_quality) = census(&flags(&args)).unwrap();
+    assert_eq!(clean, decoyed);
+    assert_eq!(clean_quality, decoyed_quality);
+
+    // An impossible date in a header is a typed bad header, not a panic
+    // contained as a failed unit.
+    let relabeled = real.replacen("2015-03-18", "2015-02-30", 1);
+    std::fs::write(logs.join("2015-03-18.log"), relabeled).unwrap();
+    let (out, _) = census(&flags(&args)).unwrap();
+    assert!(out.contains("[bad-header]"), "{out}");
+    assert!(!out.contains("unit-failed"), "{out}");
+    std::fs::remove_dir_all(&logs).unwrap();
+}

@@ -39,9 +39,24 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
     let out = bin().arg("no-such-command").output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
-    for scale in ["nan", "inf", "-1"] {
+    for scale in ["nan", "inf", "-1", "1e6", "1e300"] {
         let out = bin().args(["synth", "--scale", scale]).output().unwrap();
         assert_eq!(out.status.code(), Some(EXIT_USAGE), "--scale {scale}");
+    }
+    // Impossible or malformed dates are usage errors, never a panic.
+    for args in [
+        &["synth", "--day", "2015-02-30"][..],
+        &["synth", "--day", "17-03"],
+        &[
+            "census",
+            "/nonexistent/v6census-exit-test",
+            "--reference",
+            "2015-02-31",
+        ],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("YYYY-MM-DD"));
     }
     let help = bin().arg("help").output().unwrap();
     assert_eq!(help.status.code(), Some(EXIT_OK));
@@ -54,6 +69,27 @@ fn usage_errors_exit_2() {
     ] {
         assert!(usage.contains(needle), "usage lacks {needle}:\n{usage}");
     }
+}
+
+#[test]
+fn impossible_date_file_names_are_not_day_files() {
+    let dir = std::env::temp_dir().join(format!("v6census-exit-decoy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("2015-03-17.txt"), "2001:db8::1\n2001:db8::2\n").unwrap();
+    std::fs::write(dir.join("2015-02-30.txt"), "2001:db8::3\n").unwrap();
+    let out = bin()
+        .args(["stability", "--dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(EXIT_OK),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("over 1 days"));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

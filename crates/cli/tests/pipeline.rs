@@ -74,7 +74,7 @@ fn cross_epoch_and_daily_stability_agree_on_direction() {
         let date = format!("2015-03-{d}");
         let text = addrs_only(&synth(&flags(&["--scale", "0.005", "--day", &date])).unwrap());
         days.push(DayFile {
-            day: v6census_cli::commands::day_from_name(&format!("{date}.txt")).unwrap(),
+            day: v6census_core::temporal::Day::parse_ymd(&date).unwrap(),
             text,
         });
     }

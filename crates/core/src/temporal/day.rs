@@ -37,6 +37,27 @@ impl Day {
         Day((era * 146097 + doe - 719468) as i32)
     }
 
+    /// Parses exactly `YYYY-MM-DD` (ASCII digits, zero-padded), checking
+    /// the real month length with leap years honoured, so an impossible
+    /// date such as `2015-02-30` is `None` rather than a
+    /// [`Day::from_ymd`] panic. This is the one date reader: file names,
+    /// log headers, checkpoints, journals and date flags all use it.
+    pub fn parse_ymd(s: &str) -> Option<Day> {
+        let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = s.as_bytes() else {
+            return None;
+        };
+        let num = |digits: &[u8]| {
+            digits.iter().try_fold(0u16, |acc, &c| {
+                c.is_ascii_digit().then(|| acc * 10 + u16::from(c - b'0'))
+            })
+        };
+        let year = i32::from(num(&[y0, y1, y2, y3])?);
+        let month = u8::try_from(num(&[m0, m1])?).ok()?;
+        let day = u8::try_from(num(&[d0, d1])?).ok()?;
+        let valid = (1..=12).contains(&month) && day >= 1 && day <= days_in_month(year, month);
+        valid.then(|| Day::from_ymd(year, month, day))
+    }
+
     /// Returns `(year, month, day)` in the Gregorian calendar.
     pub fn to_ymd(self) -> (i32, u8, u8) {
         // civil_from_days (Hinnant).
@@ -192,6 +213,48 @@ mod tests {
     #[should_panic(expected = "day 29 out of range")]
     fn rejects_bad_feb() {
         Day::from_ymd(2015, 2, 29);
+    }
+
+    #[test]
+    fn parse_ymd_checks_the_calendar() {
+        assert_eq!(
+            Day::parse_ymd("2015-03-17"),
+            Some(Day::from_ymd(2015, 3, 17))
+        );
+        assert_eq!(
+            Day::parse_ymd("2016-02-29"),
+            Some(Day::from_ymd(2016, 2, 29))
+        );
+        assert_eq!(
+            Day::parse_ymd("2000-02-29"),
+            Some(Day::from_ymd(2000, 2, 29))
+        );
+        assert_eq!(
+            Day::parse_ymd("2015-12-31"),
+            Some(Day::from_ymd(2015, 12, 31))
+        );
+        for bad in [
+            "2015-02-29",
+            "2015-02-30",
+            "1900-02-29",
+            "2015-04-31",
+            "2015-13-01",
+            "2015-00-10",
+            "2015-03-00",
+            "2015-3-7",
+            "2015-03-7",
+            "2015/03/17",
+            "+201-03-17",
+            "2015-+3-17",
+            "2015-03-17.log",
+            "20150317",
+            "",
+        ] {
+            assert_eq!(Day::parse_ymd(bad), None, "{bad:?}");
+        }
+        for day in [-1000, 0, 16000, 16876, 20000] {
+            assert_eq!(Day::parse_ymd(&Day(day).to_string()), Some(Day(day)));
+        }
     }
 
     #[test]

@@ -36,6 +36,17 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
+    /// The largest `scale` a command accepts: 1000 × (1/1000 of the
+    /// paper) is the paper's own population size.
+    pub const MAX_SCALE: f64 = 1000.0;
+
+    /// True for a `scale` in `(0, MAX_SCALE]`; NaN and the infinities
+    /// are out. Command-line parsers reject anything else as a usage
+    /// error.
+    pub fn valid_scale(scale: f64) -> bool {
+        scale > 0.0 && scale <= WorldConfig::MAX_SCALE
+    }
+
     /// A small world for unit tests (~2% of the default population).
     pub fn tiny(seed: u64) -> WorldConfig {
         WorldConfig { seed, scale: 0.02 }

@@ -150,3 +150,80 @@ fn epoch_stability_is_symmetric_in_membership() {
     }
     assert!(e.stable.len() <= old.len().min(cur.len()));
 }
+
+#[test]
+fn batch_census_equals_the_followed_census() {
+    use std::time::{Duration, Instant};
+    use v6census::census::serve::{spawn, ServeConfig};
+    use v6census::census::supervisor::{run_census, PipelineConfig};
+    use v6census::census::Snapshot;
+    use v6census::synth::rng::Xoshiro256;
+
+    let tmp = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("v6census-e2e-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    };
+    let (batch_dir, follow_dir) = (tmp("batch"), tmp("follow"));
+    let w = World::standard(WorldConfig {
+        seed: 43,
+        scale: 0.002,
+    });
+    let first = epochs::mar2015();
+    let days: Vec<Day> = (0..10).map(|i| first + i).collect();
+    for &day in &days {
+        std::fs::write(
+            batch_dir.join(format!("{day}.log")),
+            w.day_log(day).to_text(),
+        )
+        .unwrap();
+    }
+    let batch = run_census(&batch_dir, &PipelineConfig::default())
+        .unwrap()
+        .report
+        .census;
+    assert_eq!(batch.days().collect::<Vec<_>>(), days);
+
+    // The same files land one at a time in a seeded shuffled order, each
+    // written under a name the daemon ignores and then renamed in.
+    let mut order = days.clone();
+    let mut rng = Xoshiro256::seeded(0x5eed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let handle = spawn(ServeConfig {
+        source_dir: follow_dir.clone(),
+        poll_interval: Duration::from_millis(5),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for (landed, day) in order.iter().enumerate() {
+        let name = format!("{day}.log");
+        let staged = follow_dir.join(format!(".{name}.partial"));
+        std::fs::copy(batch_dir.join(&name), &staged).unwrap();
+        std::fs::rename(&staged, follow_dir.join(&name)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while handle.snapshot().generation < landed as u64 + 1 {
+            assert!(Instant::now() < deadline, "{day} was never published");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    let followed = handle.snapshot();
+    for &day in &days {
+        let (f, b) = (
+            followed.census.summary(day).unwrap(),
+            batch.summary(day).unwrap(),
+        );
+        assert_eq!(f.other, b.other, "{day}: Other sets differ");
+        assert_eq!(f.hits, b.hits, "{day}: hit totals differ");
+    }
+    let rebuilt = Snapshot::build(batch, StabilityParams::nd(3), DensityClass::new(8, 64));
+    assert_eq!(followed.stats, rebuilt.stats);
+    assert_eq!(followed.stable, rebuilt.stable);
+    assert!(handle.shutdown().clean);
+    for dir in [&batch_dir, &follow_dir] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
