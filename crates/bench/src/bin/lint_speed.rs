@@ -63,10 +63,12 @@ fn main() {
             lint::scan::scan(p.clone(), rel, &text)
         })
         .collect();
-    let symbols = SymbolTable::build(&files);
-    let calls = CallGraph::build(&symbols, &files);
+    let views = lint::scan::code_views(&files);
+    let symbols = SymbolTable::build(&files, &views);
+    let calls = CallGraph::build(&symbols, &views);
     let ws = Workspace {
         files: &files,
+        views,
         symbols: &symbols,
         calls: &calls,
     };

@@ -565,6 +565,12 @@ impl ServeHandle {
         self.addr
     }
 
+    /// Connections holding a slot right now: accepted under the cap
+    /// and not yet closed (shed connections never hold one).
+    pub fn open_connections(&self) -> usize {
+        self.shared.open.load(Ordering::Acquire)
+    }
+
     /// Current counters.
     pub fn metrics(&self) -> MetricsReading {
         self.shared.metrics.read()

@@ -776,61 +776,83 @@ pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, Ing
     let paths = crate::stream::day_files(cfg.ingest.vfs.as_ref(), dir)?;
 
     // Stage 1: ingest. One unit per day file; the parse half runs in
-    // parallel, the census commit is serial in day order below.
-    let units: Vec<Unit<Result<ParsedFile, IngestError>>> = paths
-        .iter()
-        .map(|(day, path)| {
-            let ingestor = ingestor.clone();
-            let path = path.clone();
-            Unit::new(format!("ingest/{day}"), move |_ctx: &UnitCtx| {
-                ingestor.parse_file(&path)
-            })
-        })
-        .collect();
-    let (parsed, ingest_stage) = run_stage("ingest", units, &cfg.supervisor);
-
+    // parallel, the census commit is serial in day order below. Under
+    // `max_days` the files are parsed in day-order windows of just
+    // enough files to reach the limit (a file may fail or repeat a
+    // day), so no file past the limit is ever parsed; every window's
+    // units land in the one ingest stage report.
     let mut census = Census::new_empty();
     let mut files: Vec<FileReport> = Vec::new();
     let mut ingested_days: Vec<Day> = Vec::new();
-    for (i, slot) in parsed.into_iter().enumerate() {
-        let (day, path) = &paths[i];
-        if cfg
-            .ingest
-            .max_days
-            .is_some_and(|limit| ingested_days.len() >= limit)
+    let mut ingest_stage = StageReport {
+        stage: "ingest".to_string(),
+        units: Vec::new(),
+        wall_millis: 0,
+        deadline_expired: false,
+    };
+    let mut next = 0;
+    while next < paths.len() {
+        let end = match cfg.ingest.max_days {
+            Some(limit) if ingested_days.len() >= limit => break,
+            Some(limit) => paths.len().min(next + limit - ingested_days.len()),
+            None => paths.len(),
+        };
+        let units: Vec<Unit<Result<ParsedFile, IngestError>>> = paths[next..end]
+            .iter()
+            .map(|(day, path)| {
+                let ingestor = ingestor.clone();
+                let path = path.clone();
+                Unit::new(format!("ingest/{day}"), move |_ctx: &UnitCtx| {
+                    ingestor.parse_file(&path)
+                })
+            })
+            .collect();
+        let (parsed, window) = run_stage("ingest", units, &cfg.supervisor);
+        for ((slot, (day, path)), unit) in
+            parsed.into_iter().zip(&paths[next..end]).zip(&window.units)
         {
-            files.push(FileReport {
-                path: path.clone(),
-                day: *day,
-                data_lines: 0,
-                bad_lines: 0,
-                outcome: FileOutcome::Skipped,
-                errors: Vec::new(),
-            });
-            continue;
-        }
-        match slot {
-            Some(Ok(parsed_file)) => {
-                files.push(ingestor.commit_parsed(parsed_file, &mut census, &mut ingested_days)?);
-            }
-            Some(Err(e)) => return Err(e), // strict-mode abort, in file order
-            None => {
-                // The supervisor lost this unit (panic twice / deadline);
-                // surface it in the health report, not as an abort.
-                let reason = ingest_stage.units[i].status.label().to_string();
-                files.push(FileReport {
-                    path: path.clone(),
-                    day: *day,
-                    data_lines: 0,
-                    bad_lines: 0,
-                    outcome: FileOutcome::Failed,
-                    errors: vec![IngestError::UnitFailed {
+            match slot {
+                Some(Ok(parsed_file)) => {
+                    files.push(ingestor.commit_parsed(
+                        parsed_file,
+                        &mut census,
+                        &mut ingested_days,
+                    )?);
+                }
+                Some(Err(e)) => return Err(e), // strict-mode abort, in file order
+                None => {
+                    // The supervisor lost this unit (panic twice /
+                    // deadline); surface it in the health report, not as
+                    // an abort.
+                    files.push(FileReport {
                         path: path.clone(),
-                        reason: format!("supervised ingest unit {}", reason),
-                    }],
-                });
+                        day: *day,
+                        data_lines: 0,
+                        bad_lines: 0,
+                        outcome: FileOutcome::Failed,
+                        errors: vec![IngestError::UnitFailed {
+                            path: path.clone(),
+                            reason: format!("supervised ingest unit {}", unit.status.label()),
+                        }],
+                    });
+                }
             }
         }
+        ingest_stage.units.extend(window.units);
+        ingest_stage.wall_millis += window.wall_millis;
+        ingest_stage.deadline_expired |= window.deadline_expired;
+        next = end;
+    }
+    // Files past the limit are left unprocessed.
+    for (day, path) in &paths[next..] {
+        files.push(FileReport {
+            path: path.clone(),
+            day: *day,
+            data_lines: 0,
+            bad_lines: 0,
+            outcome: FileOutcome::Skipped,
+            errors: Vec::new(),
+        });
     }
     let gaps = match (ingested_days.iter().min(), ingested_days.iter().max()) {
         (Some(&first), Some(&last)) => first

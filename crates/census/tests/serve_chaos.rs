@@ -173,14 +173,33 @@ fn drill(kind: &str) {
         }
         // Past the connection cap the daemon sheds with 503+Retry-After
         // instead of queueing without bound — and recovers the moment
-        // the holders go away.
+        // the holders go away. The drill controls slot occupancy: the
+        // burst starts only once all four holders hold a slot, and they
+        // keep it until the drill drops them (the header deadline is far
+        // past the drill); `slowclient` covers reclaiming a slot by
+        // timeout.
         "storm" => {
             let (handle, source) = launch("storm", |cfg| {
                 cfg.max_connections = 4;
                 cfg.read_timeout = Duration::from_millis(400);
-                cfg.header_deadline = Duration::from_millis(2_000);
+                cfg.header_deadline = Duration::from_secs(600);
             });
             let addr = handle.addr();
+            let open_becomes = |n: usize| {
+                for _ in 0..500 {
+                    if handle.open_connections() == n {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                panic!(
+                    "open connections stuck at {}, want {n}",
+                    handle.open_connections()
+                );
+            };
+            // The launch's own polls may hold a slot for a moment after
+            // their answers; a holder arriving then would be shed.
+            open_becomes(0);
             // Occupy every slot with half-open requests…
             let holders: Vec<TcpStream> = (0..4)
                 .map(|_| {
@@ -189,7 +208,7 @@ fn drill(kind: &str) {
                     s
                 })
                 .collect();
-            std::thread::sleep(Duration::from_millis(100));
+            open_becomes(4);
             // …then a burst of well-formed clients: every one must get a
             // *prompt* answer, and sheds must be explicit 503s.
             let mut shed = 0;
@@ -205,7 +224,8 @@ fn drill(kind: &str) {
             }
             assert!(shed >= 1, "cap of 4 with 4 held slots must shed");
             drop(holders);
-            // Recovery: holders gone (their reads time out), service resumes.
+            // Recovery: the holders closed (the daemon reads EOF and frees
+            // their slots), service resumes.
             for _ in 0..100 {
                 if http_get(addr, "/stats", Duration::from_secs(2))
                     .map(|(s, _)| s == 200)

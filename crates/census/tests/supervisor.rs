@@ -7,6 +7,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use v6census_census::stream::FileOutcome;
 use v6census_census::supervisor::{run_census, PipelineConfig, SupervisedRun, UnitStatus};
 use v6census_core::quality::Quality;
 use v6census_synth::world::epochs;
@@ -302,5 +303,52 @@ fn slow_shards_finish_within_deadline() {
     assert_eq!(stage.stage, "ingest");
     assert!(!stage.deadline_expired);
     assert_eq!(stage.ok(), stage.units.len());
+    std::fs::remove_dir_all(&logs).unwrap();
+}
+
+#[test]
+fn max_days_parses_no_file_past_the_limit() {
+    let (logs, reference) = clean_logs("maxdays", 61);
+    let mut cfg = base_config(reference);
+    cfg.ingest.max_days = Some(1);
+    let run = run_census(&logs, &cfg).unwrap();
+    let ingest = &run.manifest.stages[0];
+    assert_eq!(ingest.stage, "ingest");
+    assert_eq!(ingest.units.len(), 1, "{}", run.manifest.render());
+    let skipped = run
+        .report
+        .files
+        .iter()
+        .filter(|f| f.outcome == FileOutcome::Skipped);
+    assert_eq!(skipped.count(), 14);
+    assert_eq!(run.report.census.days().count(), 1);
+
+    // A file that ingests nothing does not count against the limit: the
+    // next window parses one more file in its place.
+    let first_file = std::fs::read_dir(&logs)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .min_by_key(|p| p.file_name().map(|n| n.to_os_string()))
+        .unwrap();
+    std::fs::write(&first_file, "not a day log\n").unwrap();
+    cfg.ingest.max_days = Some(3);
+    let run = run_census(&logs, &cfg).unwrap();
+    assert_eq!(
+        run.manifest.stages[0].units.len(),
+        4,
+        "{}",
+        run.manifest.render()
+    );
+    assert_eq!(run.report.census.days().count(), 3);
+    let outcomes: Vec<FileOutcome> = run.report.files.iter().map(|f| f.outcome).collect();
+    assert_eq!(
+        outcomes
+            .iter()
+            .filter(|&&o| o == FileOutcome::Skipped)
+            .count(),
+        11
+    );
+    assert_eq!(outcomes[0], FileOutcome::Failed);
     std::fs::remove_dir_all(&logs).unwrap();
 }

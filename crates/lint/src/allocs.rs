@@ -57,8 +57,9 @@ use crate::config::Config;
 use crate::lexer::{TokKind, Token};
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
-use crate::scan::{code_views, matching, span, CodeTok};
+use crate::scan::{find_top, matching, span, CodeTok};
 use crate::summary::{path_up, reachable, render, Fact, Hit, Site, Summary, Tally};
+use crate::symbols::Param;
 
 /// A function's allocation effect. `Ord` follows the lattice:
 /// `NoAlloc < AmortizedAlloc < AllocPerCall`.
@@ -216,18 +217,25 @@ fn classifier_owned(expr: &str) -> bool {
 
 /// The shared pass: summarize every function, then run both rules.
 pub fn analyze(ws: &Workspace<'_>, cfg: &Config) -> AllocAnalysis {
-    let views = code_views(ws.files);
-    let bodies: Vec<&[CodeTok<'_>]> = ws
+    // Test fns and bodiless declarations get no tokens, hence no sites.
+    let no_view: &[CodeTok<'_>] = &[];
+    let bodies: Vec<(&[CodeTok<'_>], &[CodeTok<'_>])> = ws
         .symbols
         .fns
         .iter()
-        .map(|f| match (f.body, views.get(f.file)) {
-            (Some((start, end)), Some(view)) if !f.is_test => span(view, start, end),
-            _ => &[],
+        .map(|f| match (f.body, ws.views.get(f.file)) {
+            (Some((start, end)), Some(view)) if !f.is_test => {
+                (view.as_slice(), span(view, start, end))
+            }
+            _ => (no_view, no_view),
         })
         .collect();
-    let direct = bodies.iter().map(|b| direct_sites(b)).collect();
-    let loops: Vec<Vec<LoopScope>> = bodies.iter().map(|b| loop_scopes(b)).collect();
+    let direct = bodies
+        .iter()
+        .enumerate()
+        .map(|(id, &(view, body))| direct_sites(view, body, ws.calls_of(id)))
+        .collect();
+    let loops: Vec<Vec<LoopScope>> = bodies.iter().map(|&(_, b)| loop_scopes(b)).collect();
     let summaries = Summary::lift(ws, direct, |_, call| classifier_owned(&call.expr));
     let mut stats = AllocStats::default();
     for (id, f) in ws.symbols.fns.iter().enumerate() {
@@ -243,7 +251,7 @@ pub fn analyze(ws: &Workspace<'_>, cfg: &Config) -> AllocAnalysis {
         }
     }
     let hot_findings = hot_loop_check(ws, cfg, &summaries, &loops, &mut stats);
-    let capacity_findings = capacity_check(ws, &views, &loops, &mut stats);
+    let capacity_findings = capacity_check(ws, &loops, &mut stats);
     AllocAnalysis {
         hot_findings,
         capacity_findings,
@@ -253,69 +261,70 @@ pub fn analyze(ws: &Workspace<'_>, cfg: &Config) -> AllocAnalysis {
     }
 }
 
-/// Token walk over one body collecting direct allocating sites.
-fn direct_sites(toks: &[CodeTok<'_>]) -> Vec<Site<AllocEffect>> {
+/// One body's direct allocating sites: its `vec!`/`format!` macros,
+/// plus the call sites (from the call graph, shaped by
+/// [`Call::shape`]) that construct, copy, reserve or grow.
+fn direct_sites(
+    view: &[CodeTok<'_>],
+    body: &[CodeTok<'_>],
+    calls: &[Call],
+) -> Vec<Site<AllocEffect>> {
     use AllocEffect::{AllocPerCall, AmortizedAlloc};
     let mut out = Vec::new();
-    for j in 0..toks.len() {
-        let (orig, t) = toks[j];
-        let mut site = |pos, desc, fact| {
-            out.push(Site {
-                pos,
-                line: t.line,
-                desc,
-                fact,
-            })
-        };
+    for (j, &(orig, t)) in body.iter().enumerate() {
         // Allocating macro: `vec !` / `format !`.
         if t.kind == TokKind::Ident
             && PER_CALL_MACROS.iter().any(|m| t.is_ident(m))
-            && toks.get(j + 1).is_some_and(|&(_, x)| x.is_op("!"))
+            && body.get(j + 1).is_some_and(|&(_, x)| x.is_op("!"))
         {
-            site(orig, format!("{}!", t.text), AllocPerCall);
-            continue;
-        }
-        if !t.is_op("(") || j < 2 {
-            continue;
-        }
-        let (mpos, m) = toks[j - 1];
-        let sep = toks[j - 2].1;
-        if m.kind != TokKind::Ident {
-            continue;
-        }
-        let mut site = |desc, fact| {
             out.push(Site {
-                pos: mpos,
-                line: m.line,
-                desc,
-                fact,
-            })
+                pos: orig,
+                line: t.line,
+                desc: format!("{}!", t.text),
+                fact: AllocPerCall,
+            });
+        }
+    }
+    for call in calls {
+        let Some(shape) = call.shape(view) else {
+            continue;
         };
-        // `Type :: method (` — allocating constructors, with_capacity.
-        if sep.is_op("::") {
-            let ty = toks.get(j.wrapping_sub(3)).map(|&(_, x)| x.text.as_str());
-            if let Some(ty) = ty.filter(|ty| PER_CALL_CTORS.contains(&(ty, m.text.as_str()))) {
-                site(format!("{ty}::{}", m.text), AllocPerCall);
-            } else if m.is_ident("with_capacity") {
-                site("with_capacity".into(), AmortizedAlloc);
+        let (pos, m) = shape.name;
+        let name = m.text.as_str();
+        let site = if !shape.dotted {
+            // `Type :: method (` — allocating constructors, with_capacity.
+            let ty = shape.qual.map_or("", |x| x.text.as_str());
+            if PER_CALL_CTORS.contains(&(ty, name)) {
+                Some((format!("{ty}::{name}"), AllocPerCall))
+            } else {
+                m.is_ident("with_capacity")
+                    .then(|| ("with_capacity".into(), AmortizedAlloc))
             }
-        } else if sep.is_op(".") {
+        } else if PER_CALL_METHODS.contains(&name) {
             // `.method (` — per-call copies, reservations, growth.
+            Some((format!(".{name}()"), AllocPerCall))
+        } else if RESERVE_METHODS
+            .iter()
+            .chain(GROW_METHODS)
+            .any(|n| *n == name)
+        {
             // Reservations and (presumed-reserved) growth both land on
             // the amortized point; R006 separately audits the growth
             // sites for an actual dominating reservation.
-            let name = m.text.as_str();
-            if PER_CALL_METHODS.contains(&name) {
-                site(format!(".{name}()"), AllocPerCall);
-            } else if RESERVE_METHODS
-                .iter()
-                .chain(GROW_METHODS)
-                .any(|n| *n == name)
-            {
-                site(format!(".{name}()"), AmortizedAlloc);
-            }
+            Some((format!(".{name}()"), AmortizedAlloc))
+        } else {
+            None
+        };
+        if let Some((desc, fact)) = site {
+            out.push(Site {
+                pos,
+                line: m.line,
+                desc,
+                fact,
+            });
         }
     }
+    out.sort_by_key(|s| s.pos);
     out
 }
 
@@ -369,48 +378,20 @@ fn loop_scopes(toks: &[CodeTok<'_>]) -> Vec<LoopScope> {
 /// the first `{` outside parens/brackets before a `;`, then its
 /// matching `}`. Returns original token indices `(open, close)`.
 fn keyword_loop_body(toks: &[CodeTok<'_>], kw: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i32;
-    let mut j = kw + 1;
-    let open_at = loop {
-        let &(_, t) = toks.get(j)?;
-        if t.is_op("(") || t.is_op("[") {
-            depth += 1;
-        } else if t.is_op(")") || t.is_op("]") {
-            depth -= 1;
-        } else if t.is_op(";") && depth <= 0 {
-            return None;
-        } else if t.is_op("{") && depth <= 0 {
-            break j;
-        }
-        j += 1;
-    };
-    let close = matching(toks, open_at)?;
-    Some((toks[open_at].0, toks[close].0))
+    let open = find_top(toks, kw + 1, toks.len(), |t| t.is_op("{") || t.is_op(";"))?;
+    let close = matching(toks, open)?; // `None` for the `;`
+    Some((toks[open].0, toks[close].0))
 }
 
 /// From an adapter's `(` at `open_paren`, finds the closure scope:
-/// the first `|` directly inside the call (paren depth 1) through the
-/// call's matching `)`. `fold(init, |acc, x| …)` starts at the `|`, so
-/// the once-per-call init expression is outside the scope. Returns
-/// `None` when no closure is passed (e.g. `.map(f)`).
+/// the first `|` directly inside the call through the call's matching
+/// `)`. `fold(init, |acc, x| …)` starts at the `|`, so the
+/// once-per-call init expression is outside the scope. Returns `None`
+/// when no closure is passed (e.g. `.map(f)`).
 fn adapter_closure_scope(toks: &[CodeTok<'_>], open_paren: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i32;
-    let mut pipe: Option<usize> = None;
-    let mut k = open_paren;
-    loop {
-        let &(orig, t) = toks.get(k)?;
-        if t.is_op("(") || t.is_op("[") || t.is_op("{") {
-            depth += 1;
-        } else if t.is_op(")") || t.is_op("]") || t.is_op("}") {
-            depth -= 1;
-            if depth == 0 {
-                return pipe.map(|p| (p, orig));
-            }
-        } else if t.is_op("|") && depth == 1 && pipe.is_none() {
-            pipe = Some(orig);
-        }
-        k += 1;
-    }
+    let close = matching(toks, open_paren)?;
+    let pipe = find_top(toks, open_paren + 1, close, |t| t.is_op("|"))?;
+    Some((toks[pipe].0, toks[close].0))
 }
 
 /// R005: BFS the call graph from the `[hot] entry_points` and flag
@@ -493,7 +474,6 @@ fn hot_loop_check(
 /// function that must hold the discipline.
 fn capacity_check(
     ws: &Workspace<'_>,
-    views: &[Vec<CodeTok<'_>>],
     loops: &[Vec<LoopScope>],
     stats: &mut AllocStats,
 ) -> Vec<Diagnostic> {
@@ -503,12 +483,11 @@ fn capacity_check(
             continue;
         }
         let (Some((start, end)), Some(file), Some(view)) =
-            (f.body, ws.files.get(f.file), views.get(f.file))
+            (f.body, ws.files.get(f.file), ws.views.get(f.file))
         else {
             continue;
         };
         let body = span(view, start, end);
-        let sig = f.signature(view);
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         for lp in &loops[id] {
             let lo = body.partition_point(|&(o, _)| o <= lp.open);
@@ -534,9 +513,10 @@ fn capacity_check(
                 let proven = if on_self_field {
                     // `&mut self` state: the buffer outlives the call
                     // and its reservation is the constructor's job.
-                    sig.iter().any(|&(_, x)| x.is_ident("self"))
+                    f.params.first().is_some_and(|p| p.name == "self")
                 } else {
-                    dominating_reservation(body, j, &recv.text) || mut_out_param(sig, &recv.text)
+                    dominating_reservation(body, j, &recv.text)
+                        || mut_out_param(view, &f.params, &recv.text)
                 };
                 if proven {
                     stats.capacity_proven += 1;
@@ -582,15 +562,13 @@ fn dominating_reservation(body: &[CodeTok<'_>], site: usize, recv: &str) -> bool
         })
 }
 
-/// True when `recv` is declared `recv: &[lifetime] mut …` in the
-/// signature — a caller-owned out-param.
-fn mut_out_param(sig: &[CodeTok<'_>], recv: &str) -> bool {
-    let is = |k: usize, pred: &dyn Fn(&Token) -> bool| sig.get(k).is_some_and(|&(_, x)| pred(x));
-    (0..sig.len()).any(|j| {
-        is(j, &|x| x.is_ident(recv))
-            && is(j + 1, &|x| x.is_op(":"))
-            && is(j + 2, &|x| x.is_op("&"))
-            && (3..=4).any(|d| is(j + d, &|x| x.is_ident("mut")))
+/// True when `recv` is a parameter declared `recv: &[lifetime] mut …`
+/// — a caller-owned out-param.
+fn mut_out_param(view: &[CodeTok<'_>], params: &[Param], recv: &str) -> bool {
+    params.iter().filter(|p| p.name == recv).any(|p| {
+        let ty = span(view, p.ty.0, p.ty.1);
+        ty.first().is_some_and(|&(_, x)| x.is_op("&"))
+            && ty.iter().skip(1).take(2).any(|&(_, x)| x.is_ident("mut"))
     })
 }
 

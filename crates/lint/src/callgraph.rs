@@ -12,8 +12,8 @@
 //! the safe direction for panic-reachability: we may report a chain
 //! that the borrow checker would rule out, but we never miss one.
 
-use crate::lexer::TokKind;
-use crate::scan::{code_views, matching, path_back, span, CodeTok, ScannedFile};
+use crate::lexer::{TokKind, Token};
+use crate::scan::{matching, path_back, position, span, CodeTok};
 use crate::symbols::{normalize_crate_seg, FnSym, SymbolTable};
 
 /// One syntactic call site inside a function body.
@@ -33,6 +33,42 @@ pub struct Call {
     pub paren: usize,
 }
 
+/// A call site's shape as the per-site classifiers in
+/// [`crate::effects`] and [`crate::allocs`] read it: `recv.name(…)` or
+/// `Qual::name(…)`, with the name right before the `(`.
+#[derive(Clone, Copy, Debug)]
+pub struct CallShape<'a> {
+    /// The callee name token with its original index.
+    pub name: CodeTok<'a>,
+    /// True for `.name(`, false for `::name(`.
+    pub dotted: bool,
+    /// The token before the `.`/`::` (the receiver's or type's last
+    /// token).
+    pub qual: Option<&'a Token>,
+    /// The token right after the `(` (`)` for an empty argument list).
+    pub next: Option<&'a Token>,
+}
+
+impl Call {
+    /// This call's shape in `view`, the comment-free view of the
+    /// caller's file; `None` for a bare `name(…)` or a turbofish call.
+    pub fn shape<'a>(&self, view: &[CodeTok<'a>]) -> Option<CallShape<'a>> {
+        let at = position(view, self.paren)?;
+        let tok = |k: usize| view.get(k).map(|&(_, t)| t);
+        let name = *view.get(at.checked_sub(1)?)?;
+        let sep = tok(at.checked_sub(2)?)?;
+        if name.1.kind != TokKind::Ident || !(sep.is_op(".") || sep.is_op("::")) {
+            return None;
+        }
+        Some(CallShape {
+            name,
+            dotted: sep.is_op("."),
+            qual: at.checked_sub(3).and_then(tok),
+            next: tok(at + 1),
+        })
+    }
+}
+
 /// Call sites grouped by calling function, same indexing as
 /// `SymbolTable::fns`.
 #[derive(Debug, Default)]
@@ -49,10 +85,9 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 impl CallGraph {
-    /// Builds the graph; `files` must be the same slice the table was
-    /// built from.
-    pub fn build(table: &SymbolTable, files: &[ScannedFile]) -> CallGraph {
-        let views = code_views(files);
+    /// Builds the graph; `views` must be the per-file views the table
+    /// was built from.
+    pub fn build(table: &SymbolTable, views: &[Vec<CodeTok<'_>>]) -> CallGraph {
         let calls = table
             .fns
             .iter()

@@ -1,14 +1,19 @@
-//! Abstract interpretation over the token stream: rule R002.
+//! Abstract interpretation over the comment-free token view: rule R002.
 //!
-//! This module grows the lint from a call-graph analyzer into a small
-//! dataflow engine. Per function it runs an intraprocedural abstract
-//! interpretation on the [`crate::intervals`] lattice tagged with the
-//! [`crate::units`] domain, walking the existing token stream (no new
-//! parser pass — the walker is a total recursive descent over
-//! statements and expressions that resynchronises at `;` on anything it
-//! does not model). Per-function summaries (entry ranges → return
-//! range) are then lifted interprocedurally across the PR-4 call graph
-//! in three runs:
+//! Per function this runs an intraprocedural abstract interpretation
+//! on the [`crate::intervals`] lattice tagged with the [`crate::units`]
+//! domain. It walks the file's comment-free view from
+//! [`crate::scan::code_views`], the one every token layer shares, with
+//! the shared delimiter matcher and top-level find/split
+//! ([`crate::scan::matching`], [`crate::scan::find_top`],
+//! [`crate::scan::split_top`]); it parses no items of its own:
+//! parameters, return types, struct fields and tuple-variant payloads
+//! come typed from the [`crate::symbols`] tables, and callees from the
+//! [`crate::callgraph`] (keyed by each call's original `(` index). The
+//! walker is a total recursive descent over statements and expressions
+//! that resynchronises at `;` on anything it does not model.
+//! Per-function summaries (entry ranges → return range) are then
+//! lifted interprocedurally across the call graph in three runs:
 //!
 //! 1. every parameter starts at the top of its declared type (plus any
 //!    `lint.toml` unit annotation or `checked_*` helper bound), and the
@@ -53,7 +58,7 @@ use crate::intervals::{Interval, Ty, TOP};
 use crate::lexer::{int_suffix, TokKind, Token};
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
-use crate::scan::ScannedFile;
+use crate::scan::{find_top, matching, position, span, split_top, CodeTok, ScannedFile};
 use crate::symbols::SymbolTable;
 use crate::units::{Annotations, Unit};
 
@@ -121,13 +126,6 @@ enum FieldTy {
     Prim(Ty),
     Named(String),
     Array(Box<FieldTy>),
-}
-
-/// One declared parameter of a function.
-#[derive(Clone, Debug)]
-struct ParamInfo {
-    name: String,
-    ty: Option<FieldTy>,
 }
 
 /// An abstract value: interval, optional machine type, unit tag,
@@ -281,108 +279,9 @@ struct LoopCtx {
 
 // ----------------------------------------------------------- tokens
 
-/// First non-comment token index at or after `i`.
-fn skipc(t: &[Token], mut i: usize) -> usize {
-    while t.get(i).is_some_and(Token::is_comment) {
-        i += 1;
-    }
-    i
-}
-
-/// Index of the delimiter matching the opener at `open` (`(`, `[`,
-/// `{`), or `end` when unbalanced.
-fn match_delim(t: &[Token], open: usize, end: usize) -> usize {
-    let (o, c) = match t.get(open).map(|x| x.text.as_str()) {
-        Some("(") => ("(", ")"),
-        Some("[") => ("[", "]"),
-        Some("{") => ("{", "}"),
-        _ => return open,
-    };
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < end {
-        if let Some(tok) = t.get(i) {
-            if tok.is_op(o) {
-                depth += 1;
-            } else if tok.is_op(c) {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-        i += 1;
-    }
-    end
-}
-
-/// First index in `[i, end)` at bracket depth 0 where `pred` holds.
-fn scan_top(t: &[Token], i: usize, end: usize, pred: impl Fn(&Token) -> bool) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut j = i;
-    while j < end {
-        if let Some(tok) = t.get(j) {
-            if !tok.is_comment() {
-                let s = tok.text.as_str();
-                if depth == 0 && pred(tok) {
-                    return Some(j);
-                }
-                if tok.kind == TokKind::Op && matches!(s, "(" | "[" | "{") {
-                    depth += 1;
-                } else if tok.kind == TokKind::Op && matches!(s, ")" | "]" | "}") {
-                    depth = depth.saturating_sub(1);
-                }
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Splits `(i, end)` (the *inside* of a delimited region) into
-/// top-level comma-separated spans. Closure parameter pipes are
-/// treated as a group so `fold(0, |acc, x| …)` splits into two
-/// arguments, not three.
-fn split_commas(t: &[Token], i: usize, end: usize) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut depth = 0usize;
-    let mut start = i;
-    let mut j = i;
-    let mut arg_open = true; // at the start of an argument
-    while j < end {
-        let Some(tok) = t.get(j) else { break };
-        if tok.is_comment() {
-            j += 1;
-            continue;
-        }
-        let s = tok.text.as_str();
-        if tok.kind == TokKind::Op && matches!(s, "(" | "[" | "{") {
-            depth += 1;
-            arg_open = false;
-        } else if tok.kind == TokKind::Op && matches!(s, ")" | "]" | "}") {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && tok.is_op(",") {
-            if j > start {
-                spans.push((start, j));
-            }
-            start = j + 1;
-            arg_open = true;
-        } else if depth == 0 && tok.is_op("|") && arg_open {
-            // Closure parameter list: skip to the closing pipe.
-            j += 1;
-            while j < end && !t.get(j).is_some_and(|x| x.is_op("|")) {
-                j += 1;
-            }
-            arg_open = false;
-        } else if !(tok.is_ident("move") || tok.is_op("||")) {
-            arg_open = false;
-        }
-        j += 1;
-    }
-    if end > start {
-        spans.push((start, end));
-    }
-    spans
+/// The token at position `i` of a comment-free view.
+fn at<'a>(t: &[CodeTok<'a>], i: usize) -> Option<&'a Token> {
+    t.get(i).map(|&(_, x)| x)
 }
 
 /// Parses an integer literal's spelling into (value, suffix type).
@@ -406,33 +305,27 @@ fn parse_int(text: &str) -> Option<(u128, Option<Ty>)> {
 
 /// Parses a type spelling starting at `i`. Generic and trait-object
 /// types return `None` (unmodelled).
-fn parse_field_ty(t: &[Token], i: usize, end: usize) -> Option<FieldTy> {
-    let mut j = skipc(t, i);
-    while t
-        .get(j)
-        .is_some_and(|x| x.is_op("&") || x.is_ident("mut") || x.kind == TokKind::Lifetime)
+fn parse_field_ty(t: &[CodeTok<'_>], i: usize, end: usize) -> Option<FieldTy> {
+    let mut j = i;
+    while at(t, j).is_some_and(|x| x.is_op("&") || x.is_ident("mut") || x.kind == TokKind::Lifetime)
     {
-        j = skipc(t, j + 1);
+        j += 1;
     }
-    if t.get(j).is_some_and(|x| x.is_op("[")) {
+    if at(t, j).is_some_and(|x| x.is_op("[")) {
         return parse_field_ty(t, j + 1, end).map(|e| FieldTy::Array(Box::new(e)));
     }
+    // The last segment of an `a::b::Name` path.
     let mut last: Option<String> = None;
-    while j < end {
-        let Some(tok) = t.get(j) else { break };
-        if tok.kind == TokKind::Ident {
-            last = Some(tok.text.clone());
-            j = skipc(t, j + 1);
-            if t.get(j).is_some_and(|x| x.is_op("::")) {
-                j = skipc(t, j + 1);
-                continue;
-            }
+    while let Some(tok) = at(t, j).filter(|x| j < end && x.kind == TokKind::Ident) {
+        last = Some(tok.text.clone());
+        j += 1;
+        if !at(t, j).is_some_and(|x| x.is_op("::")) {
             break;
         }
-        break;
+        j += 1;
     }
     let name = last?;
-    if t.get(j).is_some_and(|x| x.is_op("<")) && matches!(name.as_str(), "Option" | "Box") {
+    if at(t, j).is_some_and(|x| x.is_op("<")) && matches!(name.as_str(), "Option" | "Box") {
         // Transparent wrappers: `Option<Box<Node>>` reads as `Node`,
         // matching the `Some`/`Ok`-identity value model.
         return parse_field_ty(t, j + 1, end);
@@ -441,6 +334,13 @@ fn parse_field_ty(t: &[Token], i: usize, end: usize) -> Option<FieldTy> {
         Some(p) => Some(FieldTy::Prim(p)),
         None => Some(FieldTy::Named(name)),
     }
+}
+
+/// The type a declared span `[start, end)` (original token indices, as
+/// [`crate::symbols`] records them) spells, in `view`.
+fn span_ty(view: &[CodeTok<'_>], (start, end): (usize, usize)) -> Option<FieldTy> {
+    let ty = span(view, start, end);
+    parse_field_ty(ty, 0, ty.len())
 }
 
 /// The fixed bounds of the `addr::cast::checked_*` helper family:
@@ -456,156 +356,6 @@ fn helper_bound(name: &str) -> Option<(u128, Ty)> {
         "checked_nybble" => Some((0xf, Ty::U8)),
         _ => None,
     }
-}
-
-/// Builds the struct-layout table: struct name → field name → type.
-/// Tuple-struct fields are named "0", "1", …; generic structs are
-/// skipped (their fields read as top).
-fn build_structs(files: &[ScannedFile]) -> BTreeMap<String, BTreeMap<String, FieldTy>> {
-    let mut out = BTreeMap::new();
-    for file in files {
-        let t = file.tokens.as_slice();
-        let mut i = 0usize;
-        while i < t.len() {
-            if !t.get(i).is_some_and(|x| x.is_ident("struct")) {
-                i += 1;
-                continue;
-            }
-            let ni = skipc(t, i + 1);
-            let Some(name_tok) = t.get(ni).filter(|x| x.kind == TokKind::Ident) else {
-                i += 1;
-                continue;
-            };
-            let name = name_tok.text.clone();
-            let mut bi = skipc(t, ni + 1);
-            // Skip `<T, …>` generics and a `where` clause: the type
-            // parameters themselves are unmodelled, but concrete
-            // fields of a generic struct still resolve.
-            if t.get(bi).is_some_and(|x| x.is_op("<")) {
-                bi = skipc(t, skip_angles(t, bi, t.len()));
-            }
-            if t.get(bi).is_some_and(|x| x.is_ident("where")) {
-                while bi < t.len() && !t.get(bi).is_some_and(|x| x.is_op("{") || x.is_op(";")) {
-                    bi += 1;
-                }
-            }
-            let mut fields = BTreeMap::new();
-            match t.get(bi).map(|x| x.text.as_str()) {
-                Some("(") => {
-                    let close = match_delim(t, bi, t.len());
-                    for (idx, (s, e)) in split_commas(t, bi + 1, close).iter().enumerate() {
-                        let mut s = skipc(t, *s);
-                        if t.get(s).is_some_and(|x| x.is_ident("pub")) {
-                            s = skipc(t, s + 1);
-                            if t.get(s).is_some_and(|x| x.is_op("(")) {
-                                s = skipc(t, match_delim(t, s, *e) + 1);
-                            }
-                        }
-                        if let Some(ty) = parse_field_ty(t, s, *e) {
-                            fields.insert(idx.to_string(), ty);
-                        }
-                    }
-                    i = close + 1;
-                }
-                Some("{") => {
-                    let close = match_delim(t, bi, t.len());
-                    for (s, e) in split_commas(t, bi + 1, close) {
-                        let mut s = skipc(t, s);
-                        // Skip field attributes and visibility.
-                        while t.get(s).is_some_and(|x| x.is_op("#")) {
-                            let b = skipc(t, s + 1);
-                            s = skipc(t, match_delim(t, b, e) + 1);
-                        }
-                        if t.get(s).is_some_and(|x| x.is_ident("pub")) {
-                            s = skipc(t, s + 1);
-                            if t.get(s).is_some_and(|x| x.is_op("(")) {
-                                s = skipc(t, match_delim(t, s, e) + 1);
-                            }
-                        }
-                        let Some(fname) = t.get(s).filter(|x| x.kind == TokKind::Ident) else {
-                            continue;
-                        };
-                        let colon = skipc(t, s + 1);
-                        if !t.get(colon).is_some_and(|x| x.is_op(":")) {
-                            continue;
-                        }
-                        if let Some(ty) = parse_field_ty(t, colon + 1, e) {
-                            fields.insert(fname.text.clone(), ty);
-                        }
-                    }
-                    i = close + 1;
-                }
-                _ => {
-                    // `struct Name;` — unit structs carry nothing the
-                    // dataflow models.
-                    i = bi + 1;
-                    continue;
-                }
-            }
-            out.insert(name, fields);
-        }
-    }
-    out
-}
-
-/// Records the payload type of every single-payload tuple variant of a
-/// workspace enum, keyed `Enum::Variant`. `match`/`let` bindings over
-/// such a pattern (`Action::Branch(p)`) are then typed from the enum
-/// declaration instead of degrading to top. Local enums inside fn
-/// bodies are found too — the scan is flat over the token stream.
-fn build_variants(files: &[ScannedFile]) -> BTreeMap<String, FieldTy> {
-    let mut out = BTreeMap::new();
-    for file in files {
-        let t = file.tokens.as_slice();
-        let mut i = 0usize;
-        while i < t.len() {
-            if !t.get(i).is_some_and(|x| x.is_ident("enum")) {
-                i += 1;
-                continue;
-            }
-            let ni = skipc(t, i + 1);
-            let Some(name_tok) = t.get(ni).filter(|x| x.kind == TokKind::Ident) else {
-                i += 1;
-                continue;
-            };
-            let name = name_tok.text.clone();
-            let mut bi = skipc(t, ni + 1);
-            if t.get(bi).is_some_and(|x| x.is_op("<")) {
-                bi = skipc(t, skip_angles(t, bi, t.len()));
-            }
-            if !t.get(bi).is_some_and(|x| x.is_op("{")) {
-                i = ni + 1;
-                continue;
-            }
-            let close = match_delim(t, bi, t.len());
-            for (s, e) in split_commas(t, bi + 1, close) {
-                let mut s = skipc(t, s);
-                while t.get(s).is_some_and(|x| x.is_op("#")) {
-                    let b = skipc(t, s + 1);
-                    s = skipc(t, match_delim(t, b, e) + 1);
-                }
-                let Some(vtok) = t.get(s).filter(|x| x.kind == TokKind::Ident) else {
-                    continue;
-                };
-                let p = skipc(t, s + 1);
-                if !t.get(p).is_some_and(|x| x.is_op("(")) {
-                    continue;
-                }
-                let pc = match_delim(t, p, e);
-                let parts = split_commas(t, p + 1, pc);
-                if parts.len() != 1 {
-                    continue;
-                }
-                if let Some((ps, pe)) = parts.first() {
-                    if let Some(fty) = parse_field_ty(t, *ps, *pe) {
-                        out.insert(format!("{name}::{}", vtok.text), fty);
-                    }
-                }
-            }
-            i = close + 1;
-        }
-    }
-    out
 }
 
 /// Parses `assumed_fields = ["Prefix.len <= 128", …]` from
@@ -625,95 +375,6 @@ fn parse_assumed(cfg: &Config) -> BTreeMap<(String, String), u128> {
         }
     }
     out
-}
-
-/// Parses one function's signature out of the token stream: parameter
-/// names/types and the declared return type if it has one.
-fn parse_signature(
-    t: &[Token],
-    body_open: usize,
-    self_ty: Option<&str>,
-) -> (Vec<ParamInfo>, Option<FieldTy>) {
-    // Walk back from the body brace to the `fn` keyword.
-    let mut fi = body_open;
-    let floor = body_open.saturating_sub(400);
-    let mut found = false;
-    while fi > floor {
-        fi -= 1;
-        if t.get(fi).is_some_and(|x| x.is_ident("fn")) {
-            found = true;
-            break;
-        }
-    }
-    if !found {
-        return (Vec::new(), None);
-    }
-    let mut j = skipc(t, fi + 1);
-    // Function name, then optional generics.
-    j = skipc(t, j + 1);
-    if t.get(j).is_some_and(|x| x.is_op("<")) {
-        let mut depth = 0i64;
-        while j < body_open {
-            match t.get(j).map(|x| x.text.as_str()) {
-                Some("<") => depth += 1,
-                Some(">") => depth -= 1,
-                Some(">>") => depth -= 2,
-                _ => {}
-            }
-            j += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-        j = skipc(t, j);
-    }
-    if !t.get(j).is_some_and(|x| x.is_op("(")) {
-        return (Vec::new(), None);
-    }
-    let close = match_delim(t, j, body_open);
-    let mut params = Vec::new();
-    for (s, e) in split_commas(t, j + 1, close) {
-        let mut s = skipc(t, s);
-        while t
-            .get(s)
-            .is_some_and(|x| x.is_op("&") || x.is_ident("mut") || x.kind == TokKind::Lifetime)
-        {
-            s = skipc(t, s + 1);
-        }
-        if t.get(s).is_some_and(|x| x.is_ident("self")) {
-            params.push(ParamInfo {
-                name: "self".to_string(),
-                ty: self_ty.map(|n| FieldTy::Named(n.to_string())),
-            });
-            continue;
-        }
-        let Some(name_tok) = t.get(s).filter(|x| x.kind == TokKind::Ident) else {
-            params.push(ParamInfo {
-                name: "_".to_string(),
-                ty: None,
-            });
-            continue;
-        };
-        let colon = skipc(t, s + 1);
-        let ty = if t.get(colon).is_some_and(|x| x.is_op(":")) {
-            parse_field_ty(t, colon + 1, e)
-        } else {
-            None
-        };
-        params.push(ParamInfo {
-            name: name_tok.text.clone(),
-            ty,
-        });
-    }
-    // Declared return type: primitives clamp summaries; named structs
-    // (`-> &Node`) let call results carry a receiver type so field and
-    // method lookups resolve through the struct table.
-    let mut ret = None;
-    let r = skipc(t, close + 1);
-    if t.get(r).is_some_and(|x| x.is_op("->")) {
-        ret = parse_field_ty(t, r + 1, body_open);
-    }
-    (params, ret)
 }
 
 /// Runs the dataflow over every non-test function in R002's configured
@@ -809,16 +470,16 @@ enum LoopKind {
 
 struct Analyzer<'a> {
     files: &'a [ScannedFile],
+    views: &'a [Vec<CodeTok<'a>>],
     table: &'a SymbolTable,
     ann: Annotations,
     structs: BTreeMap<String, BTreeMap<String, FieldTy>>,
     /// Single-payload tuple-variant types, keyed `Enum::Variant`.
     variants: BTreeMap<String, FieldTy>,
     assumed: BTreeMap<(String, String), u128>,
-    /// `(file index, opening-paren token index)` → workspace callees,
-    /// from the PR-4 call graph.
+    /// `(file index, opening-paren original token index)` → workspace
+    /// callees, from the call graph.
     call_map: BTreeMap<(usize, usize), Vec<usize>>,
-    params: Vec<Vec<ParamInfo>>,
     ret_prim: Vec<Option<Ty>>,
     /// Struct-table-resolved named return types (`-> &Node`): calls to
     /// these functions yield values usable as typed receivers.
@@ -849,12 +510,31 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(ws: &Workspace<'a>, cfg: &Config) -> Analyzer<'a> {
+    fn new(ws: &'a Workspace<'a>, cfg: &Config) -> Analyzer<'a> {
         let files = ws.files;
+        let views = ws.views.as_slice();
         let table = ws.symbols;
         let ann = Annotations::from_config(cfg);
-        let structs = build_structs(files);
-        let variants = build_variants(files);
+        let view_of = |file: usize| views.get(file).map_or(&[][..], Vec::as_slice);
+        // The symbol table's field records, typed; a later declaration
+        // of the same name wins.
+        let mut structs = BTreeMap::new();
+        for rec in &table.structs {
+            let typed = rec.fields.iter().filter_map(|f| {
+                let ty = span_ty(view_of(rec.file), f.ty)?;
+                Some((f.name.clone(), ty))
+            });
+            structs.insert(rec.name.clone(), typed.collect());
+        }
+        // Single-payload tuple variants, keyed `Enum::Variant`.
+        let mut variants = BTreeMap::new();
+        for rec in &table.variants {
+            if let [payload] = rec.fields.as_slice() {
+                if let Some(ty) = span_ty(view_of(rec.file), payload.ty) {
+                    variants.insert(rec.name.clone(), ty);
+                }
+            }
+        }
         let assumed = parse_assumed(cfg);
         let mut call_map = BTreeMap::new();
         for (fid, f) in table.fns.iter().enumerate() {
@@ -865,36 +545,18 @@ impl<'a> Analyzer<'a> {
             }
         }
         let n = table.fns.len();
-        let mut params = Vec::with_capacity(n);
+        let mut base_entry = Vec::with_capacity(n);
         let mut ret_prim = Vec::with_capacity(n);
         let mut ret_named = Vec::with_capacity(n);
         for f in &table.fns {
-            let (p, r) = match (f.body, files.get(f.file)) {
-                (Some((start, _)), Some(file)) => {
-                    parse_signature(&file.tokens, start, f.self_ty.as_deref())
-                }
-                _ => (Vec::new(), None),
-            };
-            params.push(p);
-            ret_prim.push(match &r {
-                Some(FieldTy::Prim(t)) => Some(*t),
-                _ => None,
-            });
-            // Only names the struct table can resolve: `impl Trait`,
-            // generics, and collection types stay top.
-            ret_named.push(match &r {
-                Some(FieldTy::Named(s)) if structs.contains_key(s) => Some(s.clone()),
-                _ => None,
-            });
-        }
-        let mut base_entry = Vec::with_capacity(n);
-        for (fid, f) in table.fns.iter().enumerate() {
-            let mut row = Vec::new();
-            for (pidx, p) in params.get(fid).into_iter().flatten().enumerate() {
-                let mut v = match &p.ty {
-                    Some(f) => AbsVal::of_field(f),
-                    None => AbsVal::top(),
+            let view = view_of(f.file);
+            let mut row = Vec::with_capacity(f.params.len());
+            for (pidx, p) in f.params.iter().enumerate() {
+                let ty = match p.name.as_str() {
+                    "self" => f.self_ty.clone().map(FieldTy::Named),
+                    _ => span_ty(view, p.ty),
                 };
+                let mut v = ty.as_ref().map_or_else(AbsVal::top, AbsVal::of_field);
                 v.is_self = p.name == "self";
                 if let Some(u) = ann.param_unit(f.self_ty.as_deref(), &f.name, &p.name) {
                     v.iv = meet(&v.iv, &u.range());
@@ -911,9 +573,25 @@ impl<'a> Analyzer<'a> {
                 row.push(v);
             }
             base_entry.push(row);
+            // Declared return type: primitives clamp summaries; named
+            // structs (`-> &Node`) let call results carry a receiver
+            // type so field and method lookups resolve through the
+            // struct table.
+            let r = f.ret.and_then(|ret| span_ty(view, ret));
+            ret_prim.push(match &r {
+                Some(FieldTy::Prim(t)) => Some(*t),
+                _ => None,
+            });
+            // Only names the struct table can resolve: `impl Trait`,
+            // generics, and collection types stay top.
+            ret_named.push(match &r {
+                Some(FieldTy::Named(s)) if structs.contains_key(s) => Some(s.clone()),
+                _ => None,
+            });
         }
         Analyzer {
             files,
+            views,
             table,
             ann,
             structs,
@@ -922,9 +600,16 @@ impl<'a> Analyzer<'a> {
             call_map,
             entry: base_entry.clone(),
             base_entry,
-            observed: params.iter().map(|p| vec![None; p.len()]).collect(),
-            observed_origin: params.iter().map(|p| vec![None; p.len()]).collect(),
-            params,
+            observed: table
+                .fns
+                .iter()
+                .map(|f| vec![None; f.params.len()])
+                .collect(),
+            observed_origin: table
+                .fns
+                .iter()
+                .map(|f| vec![None; f.params.len()])
+                .collect(),
             ret_prim,
             ret_named,
             summaries: vec![None; n],
@@ -998,10 +683,12 @@ impl<'a> Analyzer<'a> {
 
     /// Walks one function body and returns its return-range summary.
     fn walk_fn(&mut self, fid: usize) -> Option<Interval> {
-        let files = self.files;
+        let (files, views) = (self.files, self.views);
         let f = self.table.fns.get(fid)?;
         let (start, _end) = f.body?;
         let file = files.get(f.file)?;
+        let t = views.get(f.file)?.as_slice();
+        let open = position(t, start)?;
         self.cur_file = f.file;
         self.cur_rel = file.rel.clone();
         self.cur_self = f.self_ty.clone();
@@ -1009,13 +696,7 @@ impl<'a> Analyzer<'a> {
         self.ret_acc = None;
         self.depth = 0;
         let mut env = Env::default();
-        let names: Vec<String> = self
-            .params
-            .get(fid)
-            .into_iter()
-            .flatten()
-            .map(|p| p.name.clone())
-            .collect();
+        let names: Vec<String> = f.params.iter().map(|p| p.name.clone()).collect();
         let vals: Vec<AbsVal> = self.entry.get(fid).cloned().unwrap_or_default();
         let mut has_self = false;
         for (name, val) in names.iter().zip(vals.iter()) {
@@ -1041,8 +722,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        let t = file.tokens.as_slice();
-        let (_, tail) = self.walk_block(t, start, &mut env);
+        let (_, tail) = self.walk_block(t, open, &mut env);
         let mut summary = self.ret_acc;
         if !env.dead {
             if let Some(v) = tail {
@@ -1065,9 +745,14 @@ impl<'a> Analyzer<'a> {
 impl<'a> Analyzer<'a> {
     /// Walks the block whose `{` is at `open`; returns the index just
     /// past the matching `}` and the block's tail-expression value.
-    fn walk_block(&mut self, t: &[Token], open: usize, env: &mut Env) -> (usize, Option<AbsVal>) {
-        let close = match_delim(t, open, t.len());
-        let mut i = skipc(t, open + 1);
+    fn walk_block(
+        &mut self,
+        t: &[CodeTok<'_>],
+        open: usize,
+        env: &mut Env,
+    ) -> (usize, Option<AbsVal>) {
+        let close = matching(t, open).unwrap_or(t.len());
+        let mut i = open + 1;
         let mut tail: Option<AbsVal> = None;
         while i < close {
             if env.dead {
@@ -1076,10 +761,9 @@ impl<'a> Analyzer<'a> {
             let (ni, v) = self.walk_stmt(t, i, close, env);
             // A value produced by the final statement (no trailing `;`)
             // is the block's tail expression.
-            tail = if skipc(t, ni) >= close { v } else { None };
+            tail = if ni >= close { v } else { None };
             // Guaranteed progress even on unmodelled constructs.
             i = if ni > i { ni } else { i + 1 };
-            i = skipc(t, i);
         }
         (close + 1, tail)
     }
@@ -1088,12 +772,12 @@ impl<'a> Analyzer<'a> {
     /// index and the statement's value when it was an expression.
     fn walk_stmt(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: usize,
         close: usize,
         env: &mut Env,
     ) -> (usize, Option<AbsVal>) {
-        let Some(tok) = t.get(i) else {
+        let Some(tok) = at(t, i) else {
             return (close, None);
         };
         match tok.text.as_str() {
@@ -1104,12 +788,12 @@ impl<'a> Analyzer<'a> {
             }
             "#" => {
                 // Attribute: skip `#[…]` (or `#![…]`).
-                let mut j = skipc(t, i + 1);
-                if t.get(j).is_some_and(|x| x.is_op("!")) {
-                    j = skipc(t, j + 1);
+                let mut j = i + 1;
+                if at(t, j).is_some_and(|x| x.is_op("!")) {
+                    j += 1;
                 }
-                if t.get(j).is_some_and(|x| x.is_op("[")) {
-                    return (match_delim(t, j, close) + 1, None);
+                if at(t, j).is_some_and(|x| x.is_op("[")) {
+                    return (matching(t, j).unwrap_or(close) + 1, None);
                 }
                 return (i + 1, None);
             }
@@ -1117,9 +801,9 @@ impl<'a> Analyzer<'a> {
         }
         if tok.kind == TokKind::Lifetime {
             // Loop label: `'outer: loop { … }`.
-            let mut j = skipc(t, i + 1);
-            if t.get(j).is_some_and(|x| x.is_op(":")) {
-                j = skipc(t, j + 1);
+            let mut j = i + 1;
+            if at(t, j).is_some_and(|x| x.is_op(":")) {
+                j += 1;
             }
             return self.walk_stmt(t, j, close, env);
         }
@@ -1132,16 +816,16 @@ impl<'a> Analyzer<'a> {
                 "for" => return (self.walk_for(t, i, close, env), None),
                 "loop" => return (self.walk_plain_loop(t, i, close, env), None),
                 "unsafe" => {
-                    let j = skipc(t, i + 1);
-                    if t.get(j).is_some_and(|x| x.is_op("{")) {
+                    let j = i + 1;
+                    if at(t, j).is_some_and(|x| x.is_op("{")) {
                         let (ni, v) = self.walk_block(t, j, env);
                         return (ni, v);
                     }
                     return (j, None);
                 }
                 "return" => {
-                    let semi = scan_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
-                    if skipc(t, i + 1) < semi {
+                    let semi = find_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
+                    if i + 1 < semi {
                         let v = self.eval_expr(t, i + 1, semi, env);
                         self.note_return(&v);
                     }
@@ -1150,11 +834,11 @@ impl<'a> Analyzer<'a> {
                 }
                 "break" | "continue" => {
                     let is_break = tok.text == "break";
-                    let semi = scan_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
+                    let semi = find_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
                     // `break value` / `break 'label` — evaluate any value
                     // for its obligations, labels are skipped.
-                    let j = skipc(t, i + 1);
-                    if j < semi && !t.get(j).is_some_and(|x| x.kind == TokKind::Lifetime) {
+                    let j = i + 1;
+                    if j < semi && !at(t, j).is_some_and(|x| x.kind == TokKind::Lifetime) {
                         let _ = self.eval_expr(t, j, semi, env);
                     }
                     let snapshot = env.clone();
@@ -1171,15 +855,25 @@ impl<'a> Analyzer<'a> {
                 // Items nested in a body: skip them wholesale (nested
                 // fns are separate symbols and walked on their own).
                 "fn" | "struct" | "enum" | "impl" | "trait" | "mod" => {
-                    return (skip_item(t, i, close), None);
+                    // To the body's closing brace or the terminating
+                    // `;`, whichever comes first at depth 0.
+                    let end = find_top(t, i, close, |x| x.is_op("{") || x.is_op(";"));
+                    let next = match end {
+                        Some(b) if at(t, b).is_some_and(|x| x.is_op("{")) => {
+                            matching(t, b).unwrap_or(close) + 1
+                        }
+                        Some(semi) => semi + 1,
+                        None => close,
+                    };
+                    return (next, None);
                 }
                 "use" | "type" | "static" | "const" => {
-                    let semi = scan_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
+                    let semi = find_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
                     return (semi + 1, None);
                 }
                 "assert" | "debug_assert" | "assert_eq" | "assert_ne" | "debug_assert_eq"
                 | "debug_assert_ne"
-                    if t.get(i + 1).is_some_and(|x| x.is_op("!")) =>
+                    if at(t, i + 1).is_some_and(|x| x.is_op("!")) =>
                 {
                     return (self.walk_assert(t, i, close, env), None);
                 }
@@ -1191,7 +885,7 @@ impl<'a> Analyzer<'a> {
             return (ni, None);
         }
         // Plain expression statement.
-        let semi = scan_top(t, i, close, |x| x.is_op(";")).unwrap_or(close);
+        let semi = find_top(t, i, close, |x| x.is_op(";")).unwrap_or(close);
         let v = self.eval_expr(t, i, semi, env);
         if semi >= close {
             return (close, Some(v));
@@ -1208,28 +902,28 @@ impl<'a> Analyzer<'a> {
 
     /// `let` statement, including `let … : ty = …`, tuple patterns,
     /// constructor patterns, and diverging `let … else { … }`.
-    fn walk_let(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> usize {
-        let semi = scan_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
-        let Some(eq) = scan_top(t, i + 1, semi, |x| x.is_op("=")) else {
+    fn walk_let(&mut self, t: &[CodeTok<'_>], i: usize, close: usize, env: &mut Env) -> usize {
+        let semi = find_top(t, i + 1, close, |x| x.is_op(";")).unwrap_or(close);
+        let Some(eq) = find_top(t, i + 1, semi, |x| x.is_op("=")) else {
             // `let x;` — declared, not initialized: unmodelled.
             return semi + 1;
         };
         // Pattern and optional declared type between `let` and `=`.
-        let colon = scan_top(t, i + 1, eq, |x| x.is_op(":"));
+        let colon = find_top(t, i + 1, eq, |x| x.is_op(":"));
         let pat_end = colon.unwrap_or(eq);
         let decl_ty = colon.and_then(|c| parse_field_ty(t, c + 1, eq));
         // Diverging `let PAT = expr else { … };`. An `else` preceded by
         // `}` belongs to an `if`/`else` chain in the initializer (Rust
         // forbids brace-ending initializers in let-else), not to us.
-        let else_kw = scan_top(t, eq + 1, semi, |x| x.is_ident("else")).filter(|&ek| {
-            let prev = skipc_back(t, eq + 1, ek);
-            !t.get(prev).is_some_and(|x| x.is_op("}"))
+        let else_kw = find_top(t, eq + 1, semi, |x| x.is_ident("else")).filter(|&ek| {
+            let prev = ek.saturating_sub(1).max(eq + 1);
+            !at(t, prev).is_some_and(|x| x.is_op("}"))
         });
         let rhs_end = else_kw.unwrap_or(semi);
         let mut val = self.eval_expr(t, eq + 1, rhs_end, env);
         if let Some(ek) = else_kw {
-            let b = skipc(t, ek + 1);
-            if t.get(b).is_some_and(|x| x.is_op("{")) {
+            let b = ek + 1;
+            if at(t, b).is_some_and(|x| x.is_op("{")) {
                 // The else block diverges; nothing it does flows on.
                 let mut scratch = env.clone();
                 let _ = self.walk_block(t, b, &mut scratch);
@@ -1255,98 +949,81 @@ impl<'a> Analyzer<'a> {
     /// the scrutinee's value (this makes `Some(x)` / `Ok(x)` work with
     /// the identity model of `Some`/`Ok`); multiple bindings each get
     /// top.
-    fn bind_pattern(&mut self, t: &[Token], lo: usize, hi: usize, val: &AbsVal, env: &mut Env) {
+    fn bind_pattern(
+        &mut self,
+        t: &[CodeTok<'_>],
+        lo: usize,
+        hi: usize,
+        val: &AbsVal,
+        env: &mut Env,
+    ) {
+        let binding =
+            |x: &Token| x.kind == TokKind::Ident && !matches!(x.text.as_str(), "mut" | "ref" | "_");
         // A slice/array pattern over a known-element array binds every
         // identifier to the element type (`let [m0, m1, …] = self.0`).
-        let s0 = skipc(t, lo);
-        if t.get(s0).is_some_and(|x| x.is_op("[")) {
-            if let Some(elem) = &val.arr {
-                let close = match_delim(t, s0, hi);
-                let mut j = s0 + 1;
-                while j < close {
-                    if let Some(tok) = t.get(j) {
-                        if tok.kind == TokKind::Ident
-                            && !matches!(tok.text.as_str(), "mut" | "ref" | "_")
-                        {
-                            env.vars.insert(tok.text.clone(), AbsVal::of_field(elem));
-                        }
-                    }
-                    j += 1;
+        if let (true, Some(elem)) = (at(t, lo).is_some_and(|x| x.is_op("[")), &val.arr) {
+            let close = matching(t, lo).unwrap_or(hi);
+            for &(_, x) in t.iter().take(close).skip(lo + 1) {
+                if binding(x) {
+                    env.vars.insert(x.text.clone(), AbsVal::of_field(elem));
                 }
-                return;
             }
+            return;
         }
-        let mut names: Vec<String> = Vec::new();
-        let mut j = lo;
-        while j < hi {
-            if let Some(tok) = t.get(j) {
-                if tok.kind == TokKind::Ident
-                    && !matches!(tok.text.as_str(), "mut" | "ref" | "_")
-                    && tok
-                        .text
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-                {
-                    // Not a path segment of a constructor (`mod::Variant`).
-                    let next = skipc(t, j + 1);
-                    if !t.get(next).is_some_and(|x| x.is_op("::")) {
-                        names.push(tok.text.clone());
-                    }
-                }
-            }
-            j += 1;
-        }
-        if names.len() == 1 {
-            if let Some(name) = names.first() {
-                let mut bound = val.clone();
-                // A recorded `Enum::Variant(pat)` constructor types the
-                // binding from the declared payload (the scrutinee's own
-                // value is the enum, not the payload, so identity would
-                // be wrong there anyway). `Some`/`Ok` have no `::` path
-                // and keep the identity model.
-                let mut k = skipc(t, lo);
-                while k < hi {
-                    let Some(seg1) = t.get(k).filter(|x| x.kind == TokKind::Ident) else {
-                        k += 1;
-                        continue;
-                    };
-                    let c1 = skipc(t, k + 1);
-                    if !t.get(c1).is_some_and(|x| x.is_op("::")) {
-                        k += 1;
-                        continue;
-                    }
-                    let c2 = skipc(t, c1 + 1);
-                    let Some(seg2) = t.get(c2).filter(|x| x.kind == TokKind::Ident) else {
-                        k += 1;
-                        continue;
-                    };
-                    if t.get(skipc(t, c2 + 1)).is_some_and(|x| x.is_op("(")) {
-                        let key = format!("{}::{}", seg1.text, seg2.text);
-                        if let Some(p) = self.variants.get(&key) {
-                            bound = AbsVal::of_field(p);
-                        }
-                        break;
-                    }
-                    k += 1;
-                }
-                env.vars.insert(name.clone(), bound);
-            }
-        } else {
+        let names: Vec<String> = (lo..hi)
+            .filter_map(|j| {
+                let x = at(t, j)?;
+                let lower = x
+                    .text
+                    .starts_with(|c: char| c.is_ascii_lowercase() || c == '_');
+                // Not a path segment of a constructor (`mod::Variant`).
+                let segment = at(t, j + 1).is_some_and(|n| n.is_op("::"));
+                (binding(x) && lower && !segment).then(|| x.text.clone())
+            })
+            .collect();
+        let [name] = names.as_slice() else {
             for name in names {
                 env.vars.insert(name, AbsVal::top());
             }
-        }
+            return;
+        };
+        // A recorded `Enum::Variant(pat)` constructor types the binding
+        // from the declared payload (the scrutinee's own value is the
+        // enum, not the payload, so identity would be wrong there
+        // anyway). `Some`/`Ok` have no `::` path and keep the identity
+        // model.
+        let ctor = (lo..hi).find_map(|k| match (at(t, k), at(t, k + 1), at(t, k + 2)) {
+            (Some(a), Some(c), Some(b))
+                if a.kind == TokKind::Ident
+                    && c.is_op("::")
+                    && b.kind == TokKind::Ident
+                    && at(t, k + 3).is_some_and(|p| p.is_op("(")) =>
+            {
+                Some(format!("{}::{}", a.text, b.text))
+            }
+            _ => None,
+        });
+        let bound = match ctor.and_then(|key| self.variants.get(&key)) {
+            Some(p) => AbsVal::of_field(p),
+            None => val.clone(),
+        };
+        env.vars.insert(name.clone(), bound);
     }
 
     /// Detects and handles `place = expr` / `place op= expr`; returns
     /// the next statement index on a hit.
-    fn try_assign(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> Option<usize> {
-        let mut j = skipc(t, i);
-        while t.get(j).is_some_and(|x| x.is_op("*")) {
-            j = skipc(t, j + 1);
+    fn try_assign(
+        &mut self,
+        t: &[CodeTok<'_>],
+        i: usize,
+        close: usize,
+        env: &mut Env,
+    ) -> Option<usize> {
+        let mut j = i;
+        while at(t, j).is_some_and(|x| x.is_op("*")) {
+            j += 1;
         }
-        let first = t.get(j)?;
+        let first = at(t, j)?;
         if first.kind != TokKind::Ident {
             return None;
         }
@@ -1357,14 +1034,14 @@ impl<'a> Analyzer<'a> {
         ) {
             return None;
         }
-        j = skipc(t, j + 1);
+        j += 1;
         // Optional `.field` / `.0` / `[index]` suffixes.
         let mut field: Option<String> = None;
         let mut extended = false;
         loop {
-            if t.get(j).is_some_and(|x| x.is_op(".")) {
-                let f = skipc(t, j + 1);
-                match t.get(f) {
+            if at(t, j).is_some_and(|x| x.is_op(".")) {
+                let f = j + 1;
+                match at(t, f) {
                     Some(x) if x.kind == TokKind::Ident || x.kind == TokKind::Int => {
                         if field.is_none() && !extended {
                             field = Some(x.text.clone());
@@ -1373,8 +1050,8 @@ impl<'a> Analyzer<'a> {
                         }
                         // A `(` after the field means a method call, not
                         // a place.
-                        let after = skipc(t, f + 1);
-                        if t.get(after).is_some_and(|x| x.is_op("(")) {
+                        let after = f + 1;
+                        if at(t, after).is_some_and(|x| x.is_op("(")) {
                             return None;
                         }
                         j = after;
@@ -1383,17 +1060,17 @@ impl<'a> Analyzer<'a> {
                     _ => return None,
                 }
             }
-            if t.get(j).is_some_and(|x| x.is_op("[")) {
-                let c = match_delim(t, j, close);
+            if at(t, j).is_some_and(|x| x.is_op("[")) {
+                let c = matching(t, j).unwrap_or(close);
                 // Evaluate the index for its obligations.
                 let _ = self.eval_expr(t, j + 1, c, env);
                 extended = true;
-                j = skipc(t, c + 1);
+                j = c + 1;
                 continue;
             }
             break;
         }
-        let op = t.get(j)?;
+        let op = at(t, j)?;
         let ops = op.text.as_str();
         if op.kind != TokKind::Op
             || !matches!(
@@ -1403,11 +1080,11 @@ impl<'a> Analyzer<'a> {
         {
             return None;
         }
-        let semi = scan_top(t, j + 1, close, |x| x.is_op(";")).unwrap_or(close);
-        let rhs_start = skipc(t, j + 1);
+        let semi = find_top(t, j + 1, close, |x| x.is_op(";")).unwrap_or(close);
+        let rhs_start = j + 1;
         let rhs = self.eval_expr(t, j + 1, semi, env);
-        let literal_rhs = t.get(rhs_start).is_some_and(|x| x.kind == TokKind::Int)
-            && skipc(t, rhs_start + 1) >= semi;
+        let literal_rhs =
+            at(t, rhs_start).is_some_and(|x| x.kind == TokKind::Int) && rhs_start + 1 >= semi;
         // The tracked key: a bare local or a `self.field` pseudo-var.
         let key = if base == "self" {
             field
@@ -1448,17 +1125,16 @@ impl<'a> Analyzer<'a> {
     /// the asserted condition into the environment (an assert that
     /// fails diverges, so past it the condition holds — this is how
     /// `debug_assert!(v <= 0xff)` feeds the cast proofs).
-    fn walk_assert(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> usize {
-        let Some(name) = t.get(i).map(|x| x.text.clone()) else {
+    fn walk_assert(&mut self, t: &[CodeTok<'_>], i: usize, close: usize, env: &mut Env) -> usize {
+        let Some(name) = at(t, i).map(|x| x.text.clone()) else {
             return i + 1;
         };
-        let bang = skipc(t, i + 1);
-        let open = skipc(t, bang + 1);
-        if !t.get(open).is_some_and(|x| x.is_op("(")) {
-            return bang + 1;
+        let open = i + 2; // past the `!`
+        if !at(t, open).is_some_and(|x| x.is_op("(")) {
+            return open;
         }
-        let c = match_delim(t, open, close.max(open));
-        let args = split_commas(t, open + 1, c);
+        let c = matching(t, open).unwrap_or(close.max(open));
+        let args = split_top(t, open + 1, c, ",", false);
         for (s, e) in &args {
             let _ = self.eval_expr(t, *s, *e, env);
         }
@@ -1480,30 +1156,9 @@ impl<'a> Analyzer<'a> {
             }
             _ => {}
         }
-        let semi = scan_top(t, c, close, |x| x.is_op(";")).unwrap_or(close);
+        let semi = find_top(t, c, close, |x| x.is_op(";")).unwrap_or(close);
         semi + 1
     }
-}
-
-/// Skips a nested item (`fn`, `struct`, `impl`, …): to its body's
-/// closing brace or its terminating `;`, whichever comes first at
-/// depth 0.
-fn skip_item(t: &[Token], i: usize, close: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = i;
-    while j < close {
-        if let Some(tok) = t.get(j) {
-            match tok.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth = depth.saturating_sub(1),
-                "{" if depth == 0 => return match_delim(t, j, close) + 1,
-                ";" if depth == 0 => return j + 1,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    close
 }
 
 // Control flow: branches, matches, loops, refinement.
@@ -1511,7 +1166,7 @@ impl<'a> Analyzer<'a> {
     /// Evaluates a span with finding collection off — used when a
     /// condition or assert argument has already been evaluated once and
     /// re-walking it must not duplicate obligations.
-    fn quiet_eval(&mut self, t: &[Token], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
+    fn quiet_eval(&mut self, t: &[CodeTok<'_>], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
         let saved = self.collect;
         self.collect = false;
         let v = self.eval_expr(t, lo, hi, env);
@@ -1522,18 +1177,18 @@ impl<'a> Analyzer<'a> {
     /// `if` expression/statement; returns (next index, value).
     fn walk_if(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: usize,
         close: usize,
         env: &mut Env,
     ) -> (usize, Option<AbsVal>) {
-        let cond_start = skipc(t, i + 1);
-        let Some(brace) = scan_top(t, cond_start, close, |x| x.is_op("{")) else {
+        let cond_start = i + 1;
+        let Some(brace) = find_top(t, cond_start, close, |x| x.is_op("{")) else {
             return (close, None);
         };
-        let (mut then_env, else_base) = if t.get(cond_start).is_some_and(|x| x.is_ident("let")) {
+        let (mut then_env, else_base) = if at(t, cond_start).is_some_and(|x| x.is_ident("let")) {
             // `if let PAT = expr { … }`: bind, no range refinement.
-            let eq = scan_top(t, cond_start + 1, brace, |x| x.is_op("="));
+            let eq = find_top(t, cond_start + 1, brace, |x| x.is_op("="));
             let mut te = env.clone();
             if let Some(eq) = eq {
                 let val = self.eval_expr(t, eq + 1, brace, env);
@@ -1551,15 +1206,14 @@ impl<'a> Analyzer<'a> {
         let (after_then, then_val) = self.walk_block(t, brace, &mut then_env);
         let mut else_env = else_base;
         let mut else_val: Option<AbsVal> = None;
-        let ek = skipc(t, after_then);
         let mut next = after_then;
-        if t.get(ek).is_some_and(|x| x.is_ident("else")) {
-            let b = skipc(t, ek + 1);
-            if t.get(b).is_some_and(|x| x.is_ident("if")) {
+        if at(t, after_then).is_some_and(|x| x.is_ident("else")) {
+            let b = after_then + 1;
+            if at(t, b).is_some_and(|x| x.is_ident("if")) {
                 let (ni, v) = self.walk_if(t, b, close, &mut else_env);
                 next = ni;
                 else_val = v;
-            } else if t.get(b).is_some_and(|x| x.is_op("{")) {
+            } else if at(t, b).is_some_and(|x| x.is_op("{")) {
                 let (ni, v) = self.walk_block(t, b, &mut else_env);
                 next = ni;
                 else_val = v;
@@ -1580,26 +1234,26 @@ impl<'a> Analyzer<'a> {
     /// patterns, joins the non-dead arm environments.
     fn walk_match(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: usize,
         close: usize,
         env: &mut Env,
     ) -> (usize, Option<AbsVal>) {
-        let scrut_start = skipc(t, i + 1);
-        let Some(brace) = scan_top(t, scrut_start, close, |x| x.is_op("{")) else {
+        let scrut_start = i + 1;
+        let Some(brace) = find_top(t, scrut_start, close, |x| x.is_op("{")) else {
             return (close, None);
         };
         let scrut = self.eval_expr(t, scrut_start, brace, env);
-        let mclose = match_delim(t, brace, close.max(brace));
+        let mclose = matching(t, brace).unwrap_or(close.max(brace));
         let mut out: Option<Env> = None;
         let mut val: Option<AbsVal> = None;
-        let mut j = skipc(t, brace + 1);
+        let mut j = brace + 1;
         while j < mclose {
-            let Some(arrow) = scan_top(t, j, mclose, |x| x.is_op("=>")) else {
+            let Some(arrow) = find_top(t, j, mclose, |x| x.is_op("=>")) else {
                 break;
             };
             // Split an optional `if` guard off the pattern.
-            let guard = scan_top(t, j, arrow, |x| x.is_ident("if"));
+            let guard = find_top(t, j, arrow, |x| x.is_ident("if"));
             let pat_end = guard.unwrap_or(arrow);
             let mut arm = env.clone();
             self.apply_arm_pattern(t, j, pat_end, scrut_start, brace, &scrut, &mut arm);
@@ -1608,14 +1262,14 @@ impl<'a> Analyzer<'a> {
                 arm = self.refine_cond(t, g + 1, arrow, &arm, true);
             }
             // Arm body: a block, or an expression up to the top `,`.
-            let body = skipc(t, arrow + 1);
+            let body = arrow + 1;
             let arm_end;
-            let v = if t.get(body).is_some_and(|x| x.is_op("{")) {
+            let v = if at(t, body).is_some_and(|x| x.is_op("{")) {
                 let (ni, bv) = self.walk_block(t, body, &mut arm);
                 arm_end = ni;
                 bv
             } else {
-                let comma = scan_top(t, body, mclose, |x| x.is_op(",")).unwrap_or(mclose);
+                let comma = find_top(t, body, mclose, |x| x.is_op(",")).unwrap_or(mclose);
                 let bv = self.eval_expr(t, body, comma, &mut arm);
                 arm_end = comma;
                 if arm.dead {
@@ -1635,9 +1289,9 @@ impl<'a> Analyzer<'a> {
                     (a, None) => a,
                 };
             }
-            j = skipc(t, arm_end);
-            if t.get(j).is_some_and(|x| x.is_op(",")) {
-                j = skipc(t, j + 1);
+            j = arm_end;
+            if at(t, j).is_some_and(|x| x.is_op(",")) {
+                j += 1;
             }
         }
         *env = out.unwrap_or_else(|| {
@@ -1653,7 +1307,7 @@ impl<'a> Analyzer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn apply_arm_pattern(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         lo: usize,
         hi: usize,
         scrut_lo: usize,
@@ -1663,23 +1317,7 @@ impl<'a> Analyzer<'a> {
     ) {
         // `|` alternatives: the arm env is the join of per-alternative
         // refinements.
-        let mut alts = Vec::new();
-        let mut start = lo;
-        let mut j = lo;
-        let mut depth = 0usize;
-        while j < hi {
-            match t.get(j).map(|x| x.text.as_str()) {
-                Some("(") | Some("[") => depth += 1,
-                Some(")") | Some("]") => depth = depth.saturating_sub(1),
-                Some("|") if depth == 0 => {
-                    alts.push((start, j));
-                    start = j + 1;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        alts.push((start, hi));
+        let alts = split_top(t, lo, hi, "|", false);
         if alts.len() > 1 {
             let mut joined: Option<Env> = None;
             for (s, e) in alts {
@@ -1699,33 +1337,29 @@ impl<'a> Analyzer<'a> {
             }
             return;
         }
-        let s = skipc(t, lo);
-        let first = match t.get(s) {
-            Some(x) => x,
-            None => return,
+        let Some(first) = at(t, lo) else {
+            return;
         };
         // Integer literal or literal range: refine the scrutinee place.
         if first.kind == TokKind::Int {
             if let Some((v, _)) = parse_int(&first.text) {
-                let next = skipc(t, s + 1);
-                let range_op = t
-                    .get(next)
-                    .filter(|x| matches!(x.text.as_str(), ".." | "..="))
-                    .map(|x| x.text.clone());
+                let range_op = at(t, lo + 1).filter(|x| matches!(x.text.as_str(), ".." | "..="));
                 if let Some(op) = range_op {
-                    let he = skipc(t, next + 1);
-                    if let Some((hv, _)) = t
-                        .get(he)
+                    if let Some((hv, _)) = at(t, lo + 2)
                         .filter(|x| x.kind == TokKind::Int)
                         .and_then(|x| parse_int(&x.text))
                     {
-                        let hi_inc = if op == ".." { hv.saturating_sub(1) } else { hv };
+                        let hi_inc = if op.text == ".." {
+                            hv.saturating_sub(1)
+                        } else {
+                            hv
+                        };
                         let range = Interval::new(v, hi_inc);
-                        self.refine_place_iv(t, scrut_lo, scrut_hi, "range", &range, env);
+                        self.refine_place(t, scrut_lo, scrut_hi, "range", &range, env);
                         return;
                     }
                 }
-                self.refine_place_iv(t, scrut_lo, scrut_hi, "==", &Interval::exact(v), env);
+                self.refine_place(t, scrut_lo, scrut_hi, "==", &Interval::exact(v), env);
                 // An exact pattern over a scrutinee that cannot hold it
                 // is a dead arm.
                 if scrut.iv.refine_eq(&Interval::exact(v)).is_none() {
@@ -1737,18 +1371,18 @@ impl<'a> Analyzer<'a> {
         // Identifier patterns: `_`, a binding, or a constructor with
         // bindings inside.
         if first.kind == TokKind::Ident || first.is_op("(") {
-            self.bind_pattern(t, s, hi, scrut, env);
+            self.bind_pattern(t, lo, hi, scrut, env);
         }
     }
 
     /// `while` / `while let` loops.
-    fn walk_while(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> usize {
-        let cond_start = skipc(t, i + 1);
-        let Some(brace) = scan_top(t, cond_start, close, |x| x.is_op("{")) else {
+    fn walk_while(&mut self, t: &[CodeTok<'_>], i: usize, close: usize, env: &mut Env) -> usize {
+        let cond_start = i + 1;
+        let Some(brace) = find_top(t, cond_start, close, |x| x.is_op("{")) else {
             return close;
         };
-        let kind = if t.get(cond_start).is_some_and(|x| x.is_ident("let")) {
-            let eq = scan_top(t, cond_start + 1, brace, |x| x.is_op("="));
+        let kind = if at(t, cond_start).is_some_and(|x| x.is_ident("let")) {
+            let eq = find_top(t, cond_start + 1, brace, |x| x.is_op("="));
             let mut binds = Vec::new();
             if let Some(eq) = eq {
                 let mut probe = Env::default();
@@ -1776,24 +1410,18 @@ impl<'a> Analyzer<'a> {
 
     /// `for PAT in iter` loops: range iterators get a real interval for
     /// the loop variable, anything else binds top.
-    fn walk_for(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> usize {
-        let pat_start = skipc(t, i + 1);
-        let Some(in_kw) = scan_top(t, pat_start, close, |x| x.is_ident("in")) else {
+    fn walk_for(&mut self, t: &[CodeTok<'_>], i: usize, close: usize, env: &mut Env) -> usize {
+        let pat_start = i + 1;
+        let Some(in_kw) = find_top(t, pat_start, close, |x| x.is_ident("in")) else {
             return close;
         };
-        let Some(brace) = scan_top(t, in_kw + 1, close, |x| x.is_op("{")) else {
+        let Some(brace) = find_top(t, in_kw + 1, close, |x| x.is_op("{")) else {
             return close;
         };
         // Single-identifier pattern → tracked var; tuples bind top.
-        let p = skipc(t, pat_start);
-        let mut var = None;
-        if skipc(t, p + 1) >= in_kw {
-            if let Some(x) = t.get(p).filter(|x| x.kind == TokKind::Ident) {
-                if x.text != "_" {
-                    var = Some(x.text.clone());
-                }
-            }
-        }
+        let var = at(t, pat_start)
+            .filter(|x| pat_start + 1 >= in_kw && x.kind == TokKind::Ident && x.text != "_")
+            .map(|x| x.text.clone());
         let val = self.eval_for_iter(t, in_kw + 1, brace, env);
         if var.is_none() {
             // Bind every tuple-pattern identifier to top for the body.
@@ -1821,48 +1449,39 @@ impl<'a> Analyzer<'a> {
     /// space; `.rev()` / `.enumerate()` / `.step_by(..)` suffixes are
     /// stripped (they do not grow it); everything else is top (an array
     /// iterator yields its element type's top).
-    fn eval_for_iter(&mut self, t: &[Token], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
-        let mut lo = skipc(t, lo);
-        let mut end = hi;
-        // Strip trailing `.method(…)` suffixes that keep the range and
-        // any fully-enclosing parentheses (`(0..32).rev()`).
+    fn eval_for_iter(&mut self, t: &[CodeTok<'_>], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
+        // Strip any fully-enclosing parentheses and trailing
+        // `.method(…)` suffixes that keep the range (`(0..32).rev()`).
+        let (mut lo, mut end) = (lo, hi);
         loop {
-            let last = skipc_back(t, lo, end);
-            if t.get(lo).is_some_and(|x| x.is_op("("))
-                && last > lo
-                && match_delim(t, lo, end) == last
-            {
-                lo = skipc(t, lo + 1);
-                end = last;
-                continue;
-            }
-            let last = skipc_back(t, lo, end);
-            if !t.get(last).is_some_and(|x| x.is_op(")")) {
-                break;
-            }
-            let Some(open) = open_of(t, lo, last) else {
-                break;
+            (lo, end) = trim_parens(t, lo, end);
+            let keeps_range = |o: usize| {
+                at(t, o - 1).is_some_and(|x| {
+                    let kept = [
+                        "rev",
+                        "enumerate",
+                        "step_by",
+                        "take",
+                        "copied",
+                        "cloned",
+                        "iter",
+                    ];
+                    x.kind == TokKind::Ident && kept.contains(&x.text.as_str())
+                }) && at(t, o - 2).is_some_and(|x| x.is_op("."))
             };
-            let namei = skipc_back(t, lo, open);
-            let Some(name) = t.get(namei).filter(|x| x.kind == TokKind::Ident) else {
-                break;
-            };
-            let doti = skipc_back(t, lo, namei);
-            if !t.get(doti).is_some_and(|x| x.is_op(".")) {
-                break;
+            let suffix = (end.saturating_sub(1) > lo)
+                .then(|| end - 1)
+                .filter(|&c| at(t, c).is_some_and(|x| x.is_op(")")))
+                .and_then(|c| matching(t, c))
+                .filter(|&o| o >= lo + 2 && keeps_range(o));
+            match suffix {
+                Some(open) => end = open - 2,
+                None => break,
             }
-            if !matches!(
-                name.text.as_str(),
-                "rev" | "enumerate" | "step_by" | "take" | "copied" | "cloned" | "iter"
-            ) {
-                break;
-            }
-            end = doti;
         }
-        let lo = lo;
         // A top-level `..` / `..=` marks a range literal.
-        if let Some(dots) = scan_top(t, lo, end, |x| matches!(x.text.as_str(), ".." | "..=")) {
-            let inclusive = t.get(dots).is_some_and(|x| x.text == "..=");
+        if let Some(dots) = find_top(t, lo, end, |x| matches!(x.text.as_str(), ".." | "..=")) {
+            let inclusive = at(t, dots).is_some_and(|x| x.text == "..=");
             let l = self.eval_expr(t, lo, dots, env);
             let r = self.eval_expr(t, dots + 1, end, env);
             let hi_b = if inclusive {
@@ -1889,8 +1508,14 @@ impl<'a> Analyzer<'a> {
     }
 
     /// `loop { … }`.
-    fn walk_plain_loop(&mut self, t: &[Token], i: usize, close: usize, env: &mut Env) -> usize {
-        let Some(brace) = scan_top(t, i + 1, close, |x| x.is_op("{")) else {
+    fn walk_plain_loop(
+        &mut self,
+        t: &[CodeTok<'_>],
+        i: usize,
+        close: usize,
+        env: &mut Env,
+    ) -> usize {
+        let Some(brace) = find_top(t, i + 1, close, |x| x.is_op("{")) else {
             return close;
         };
         self.run_loop(t, brace, LoopKind::Plain, env)
@@ -1899,9 +1524,15 @@ impl<'a> Analyzer<'a> {
     /// The loop fixpoint: iterate the body under widening with
     /// collection off, then run one collecting pass at the stable head
     /// and compute the exit environment from the loop kind.
-    fn run_loop(&mut self, t: &[Token], brace: usize, kind: LoopKind, env: &mut Env) -> usize {
-        let close = match_delim(t, brace, t.len());
-        let line = t.get(brace).map(|x| x.line).unwrap_or(0);
+    fn run_loop(
+        &mut self,
+        t: &[CodeTok<'_>],
+        brace: usize,
+        kind: LoopKind,
+        env: &mut Env,
+    ) -> usize {
+        let close = matching(t, brace).unwrap_or(t.len());
+        let line = at(t, brace).map(|x| x.line).unwrap_or(0);
         let origin = format!("loop at {}:{}", self.cur_rel, line);
         let saved = self.collect;
         self.collect = false;
@@ -1974,7 +1605,13 @@ impl<'a> Analyzer<'a> {
     }
 
     /// The environment the loop body starts each iteration with.
-    fn loop_body_entry(&mut self, t: &[Token], kind: &LoopKind, head: &Env, origin: &str) -> Env {
+    fn loop_body_entry(
+        &mut self,
+        t: &[CodeTok<'_>],
+        kind: &LoopKind,
+        head: &Env,
+        origin: &str,
+    ) -> Env {
         match kind {
             LoopKind::For { var, val } => {
                 let mut e = head.clone();
@@ -2014,7 +1651,14 @@ impl<'a> Analyzer<'a> {
     /// parenthesisation, and comparisons against tracked places; runs
     /// with collection off (the caller evaluates the condition once for
     /// obligations).
-    fn refine_cond(&mut self, t: &[Token], lo: usize, hi: usize, env: &Env, assume: bool) -> Env {
+    fn refine_cond(
+        &mut self,
+        t: &[CodeTok<'_>],
+        lo: usize,
+        hi: usize,
+        env: &Env,
+        assume: bool,
+    ) -> Env {
         let saved = self.collect;
         self.collect = false;
         let out = self.refine_inner(t, lo, hi, env, assume);
@@ -2022,51 +1666,28 @@ impl<'a> Analyzer<'a> {
         out
     }
 
-    fn refine_inner(&mut self, t: &[Token], lo: usize, hi: usize, env: &Env, assume: bool) -> Env {
+    fn refine_inner(
+        &mut self,
+        t: &[CodeTok<'_>],
+        lo: usize,
+        hi: usize,
+        env: &Env,
+        assume: bool,
+    ) -> Env {
         if env.dead {
             return env.clone();
         }
-        let mut lo = skipc(t, lo);
-        let mut hi = hi;
-        // Trim a fully-enclosing parenthesis.
-        loop {
-            let last = skipc_back(t, lo, hi);
-            if t.get(lo).is_some_and(|x| x.is_op("("))
-                && last > lo
-                && match_delim(t, lo, hi) == last
-            {
-                lo = skipc(t, lo + 1);
-                hi = last;
-            } else {
-                break;
-            }
-        }
+        let (lo, hi) = trim_parens(t, lo, hi);
         if lo >= hi {
             return env.clone();
         }
-        if t.get(lo).is_some_and(|x| x.is_op("!")) {
+        if at(t, lo).is_some_and(|x| x.is_op("!")) {
             return self.refine_inner(t, lo + 1, hi, env, !assume);
         }
         // `||` then `&&` at top level (|| binds looser).
         for (op, split_on_assume) in [("||", false), ("&&", true)] {
-            let mut parts = Vec::new();
-            let mut start = lo;
-            let mut j = lo;
-            let mut depth = 0usize;
-            while j < hi {
-                match t.get(j).map(|x| x.text.as_str()) {
-                    Some("(") | Some("[") | Some("{") => depth += 1,
-                    Some(")") | Some("]") | Some("}") => depth = depth.saturating_sub(1),
-                    Some(o) if o == op && depth == 0 => {
-                        parts.push((start, j));
-                        start = j + 1;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if !parts.is_empty() {
-                parts.push((start, hi));
+            let parts = split_top(t, lo, hi, op, false);
+            if parts.len() > 1 {
                 // assume(a || b) joins the branches; refute(a || b)
                 // refutes each in sequence (and dually for `&&`).
                 if assume == split_on_assume {
@@ -2094,13 +1715,13 @@ impl<'a> Analyzer<'a> {
             }
         }
         // A single comparison.
-        let Some(cmp) = scan_top(t, lo, hi, |x| {
+        let Some(cmp) = find_top(t, lo, hi, |x| {
             x.kind == TokKind::Op
                 && matches!(x.text.as_str(), "==" | "!=" | "<=" | ">=" | "<" | ">")
         }) else {
             return env.clone();
         };
-        let op = t.get(cmp).map(|x| x.text.clone()).unwrap_or_default();
+        let op = at(t, cmp).map(|x| x.text.clone()).unwrap_or_default();
         let mut scratch = env.clone();
         let lv = self.eval_expr(t, lo, cmp, &mut scratch);
         let rv = self.eval_expr(t, cmp + 1, hi, &mut scratch);
@@ -2120,19 +1741,7 @@ impl<'a> Analyzer<'a> {
     /// kills the environment.
     fn refine_place(
         &mut self,
-        t: &[Token],
-        lo: usize,
-        hi: usize,
-        op: &str,
-        bound: &Interval,
-        env: &mut Env,
-    ) {
-        self.refine_place_iv(t, lo, hi, op, bound, env);
-    }
-
-    fn refine_place_iv(
-        &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         lo: usize,
         hi: usize,
         op: &str,
@@ -2166,58 +1775,27 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Last non-comment token index in `[lo, hi)` (hi exclusive), or `lo`.
-fn skipc_back(t: &[Token], lo: usize, hi: usize) -> usize {
-    let mut j = hi;
-    while j > lo {
-        j -= 1;
-        if t.get(j).is_some_and(|x| !x.is_comment()) {
-            return j;
-        }
+/// `[lo, hi)` with any fully-enclosing parentheses trimmed off.
+fn trim_parens(t: &[CodeTok<'_>], mut lo: usize, mut hi: usize) -> (usize, usize) {
+    while hi > lo + 1 && at(t, lo).is_some_and(|x| x.is_op("(")) && matching(t, lo) == Some(hi - 1)
+    {
+        lo += 1;
+        hi -= 1;
     }
-    lo
-}
-
-/// Index of the `(` matching the `)` at `close`, scanning back to `lo`.
-fn open_of(t: &[Token], lo: usize, close: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = close + 1;
-    while j > lo {
-        j -= 1;
-        match t.get(j).map(|x| x.text.as_str()) {
-            Some(")") => depth += 1,
-            Some("(") => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    (lo, hi)
 }
 
 /// The tracked-place key of a span: a bare identifier (`x`) or a
 /// `self.field` access (`self.f`). Anything else is not refinable.
-fn place_key(t: &[Token], lo: usize, hi: usize) -> Option<String> {
-    let a = skipc(t, lo);
-    let first = t.get(a)?;
-    if first.kind != TokKind::Ident {
-        return None;
-    }
-    let b = skipc(t, a + 1);
-    if b >= hi {
+fn place_key(t: &[CodeTok<'_>], lo: usize, hi: usize) -> Option<String> {
+    let first = at(t, lo).filter(|x| x.kind == TokKind::Ident)?;
+    if lo + 1 >= hi {
         return Some(first.text.clone());
     }
-    if first.text == "self" && t.get(b).is_some_and(|x| x.is_op(".")) {
-        let c = skipc(t, b + 1);
-        let f = t.get(c)?;
-        if (f.kind == TokKind::Ident || f.kind == TokKind::Int) && skipc(t, c + 1) >= hi {
-            return Some(format!("self.{}", f.text));
-        }
-    }
-    None
+    let dot = first.text == "self" && at(t, lo + 1).is_some_and(|x| x.is_op("."));
+    let field = at(t, lo + 2)
+        .filter(|f| dot && matches!(f.kind, TokKind::Ident | TokKind::Int) && lo + 3 >= hi)?;
+    Some(format!("self.{}", field.text))
 }
 
 /// The comparison that holds when `op` is false.
@@ -2267,7 +1845,7 @@ fn prec(op: &Token) -> u8 {
 // Expression evaluation.
 impl<'a> Analyzer<'a> {
     /// Evaluates the expression spanning `[lo, hi)`.
-    fn eval_expr(&mut self, t: &[Token], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
+    fn eval_expr(&mut self, t: &[CodeTok<'_>], lo: usize, hi: usize, env: &mut Env) -> AbsVal {
         if self.depth >= MAX_DEPTH {
             return AbsVal::top();
         }
@@ -2281,7 +1859,7 @@ impl<'a> Analyzer<'a> {
     /// Precedence-climbing binary expression parser/evaluator.
     fn eval_binary(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: &mut usize,
         end: usize,
         env: &mut Env,
@@ -2289,23 +1867,22 @@ impl<'a> Analyzer<'a> {
     ) -> AbsVal {
         let mut lhs = self.eval_unary(t, i, end, env);
         loop {
-            let j = skipc(t, *i);
+            let j = *i;
             if j >= end {
                 break;
             }
-            let Some(op) = t.get(j) else { break };
+            let Some(op) = at(t, j) else { break };
             let p = prec(op);
             if p == 0 || p < min_prec {
                 break;
             }
             let op_text = op.text.clone();
             let line = op.line;
-            *i = j + 1;
-            let rhs_start = skipc(t, *i);
+            let rhs_start = j + 1;
             *i = rhs_start;
             let rhs = self.eval_binary(t, i, end, env, p + 1);
             let literal_rhs =
-                t.get(rhs_start).is_some_and(|x| x.kind == TokKind::Int) && *i <= rhs_start + 1;
+                at(t, rhs_start).is_some_and(|x| x.kind == TokKind::Int) && *i <= rhs_start + 1;
             lhs = self.apply_binop(&op_text, &op_text, &lhs, &rhs, line, literal_rhs, env);
         }
         lhs
@@ -2426,13 +2003,18 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Unary operators, closures, and the primary/postfix chain.
-    fn eval_unary(&mut self, t: &[Token], i: &mut usize, end: usize, env: &mut Env) -> AbsVal {
-        let j = skipc(t, *i);
-        *i = j;
+    fn eval_unary(
+        &mut self,
+        t: &[CodeTok<'_>],
+        i: &mut usize,
+        end: usize,
+        env: &mut Env,
+    ) -> AbsVal {
+        let j = *i;
         if j >= end {
             return AbsVal::top();
         }
-        let Some(tok) = t.get(j) else {
+        let Some(tok) = at(t, j) else {
             return AbsVal::top();
         };
         match tok.text.as_str() {
@@ -2447,8 +2029,8 @@ impl<'a> Analyzer<'a> {
             }
             "&" => {
                 *i = j + 1;
-                let k = skipc(t, *i);
-                if t.get(k).is_some_and(|x| x.is_ident("mut")) {
+                let k = *i;
+                if at(t, k).is_some_and(|x| x.is_ident("mut")) {
                     *i = k + 1;
                 }
                 return self.eval_unary(t, i, end, env);
@@ -2468,27 +2050,19 @@ impl<'a> Analyzer<'a> {
             "|" => {
                 // Closure: bind the parameters, walk the body on a
                 // scratch environment, return top.
-                let mut k = j + 1;
-                let mut names = Vec::new();
-                while k < end {
-                    match t.get(k) {
-                        Some(x) if x.is_op("|") => break,
-                        Some(x)
-                            if x.kind == TokKind::Ident
-                                && !matches!(x.text.as_str(), "mut" | "ref" | "_") =>
-                        {
-                            // Only bare parameter names (skip type paths
-                            // after `:`).
-                            let prev = skipc_back(t, j + 1, k);
-                            if !t.get(prev).is_some_and(|x| x.is_op(":") || x.is_op("::")) {
-                                names.push(x.text.clone());
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                *i = k + 1;
+                let pipe = (j + 1..end).find(|&k| at(t, k).is_some_and(|x| x.is_op("|")));
+                let pipe = pipe.unwrap_or(end);
+                // Only bare parameter names (skip type paths after `:`).
+                let names = (j + 1..pipe).filter_map(|k| {
+                    let x = at(t, k)?;
+                    let typed =
+                        k > j + 1 && at(t, k - 1).is_some_and(|p| p.is_op(":") || p.is_op("::"));
+                    let name =
+                        x.kind == TokKind::Ident && !matches!(x.text.as_str(), "mut" | "ref" | "_");
+                    (name && !typed).then(|| x.text.clone())
+                });
+                let names = names.collect();
+                *i = pipe + 1;
                 return self.eval_closure_body(t, i, end, env, names);
             }
             _ => {}
@@ -2501,20 +2075,17 @@ impl<'a> Analyzer<'a> {
     /// ignore; obligations inside the body are still collected).
     fn eval_closure_body(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: &mut usize,
         end: usize,
         env: &Env,
         params: Vec<String>,
     ) -> AbsVal {
         // Skip an optional `-> Ty` annotation.
-        let mut j = skipc(t, *i);
-        if t.get(j).is_some_and(|x| x.is_op("->")) {
-            j = skipc(t, j + 1);
-            while j < end
-                && !t
-                    .get(j)
-                    .is_some_and(|x| x.is_op("{") || x.is_op(",") || x.is_op(")"))
+        let mut j = *i;
+        if at(t, j).is_some_and(|x| x.is_op("->")) {
+            j += 1;
+            while j < end && !at(t, j).is_some_and(|x| x.is_op("{") || x.is_op(",") || x.is_op(")"))
             {
                 j += 1;
             }
@@ -2523,7 +2094,7 @@ impl<'a> Analyzer<'a> {
         for p in params {
             scratch.vars.insert(p, AbsVal::top());
         }
-        if t.get(j).is_some_and(|x| x.is_op("{")) {
+        if at(t, j).is_some_and(|x| x.is_op("{")) {
             let (ni, _) = self.walk_block(t, j, &mut scratch);
             *i = ni;
         } else {
@@ -2537,13 +2108,18 @@ impl<'a> Analyzer<'a> {
 
 // Primary expressions, postfix chains, calls, and obligations.
 impl<'a> Analyzer<'a> {
-    fn eval_primary(&mut self, t: &[Token], i: &mut usize, end: usize, env: &mut Env) -> AbsVal {
-        let j = skipc(t, *i);
-        *i = j;
+    fn eval_primary(
+        &mut self,
+        t: &[CodeTok<'_>],
+        i: &mut usize,
+        end: usize,
+        env: &mut Env,
+    ) -> AbsVal {
+        let j = *i;
         if j >= end {
             return AbsVal::top();
         }
-        let Some(tok) = t.get(j) else {
+        let Some(tok) = at(t, j) else {
             return AbsVal::top();
         };
         let mut val = match tok.kind {
@@ -2560,33 +2136,30 @@ impl<'a> Analyzer<'a> {
             }
             TokKind::Op => match tok.text.as_str() {
                 "(" => {
-                    let c = match_delim(t, j, end);
-                    let spans = split_commas(t, j + 1, c);
-                    let v = if spans.len() == 1 {
-                        spans
-                            .first()
-                            .map(|(s, e)| self.eval_expr(t, *s, *e, env))
-                            .unwrap_or_else(AbsVal::top)
-                    } else {
-                        for (s, e) in &spans {
-                            let _ = self.eval_expr(t, *s, *e, env);
+                    let c = matching(t, j).unwrap_or(end);
+                    let v = match split_top(t, j + 1, c, ",", false)[..] {
+                        [(s, e)] => self.eval_expr(t, s, e, env),
+                        ref spans => {
+                            for &(s, e) in spans {
+                                let _ = self.eval_expr(t, s, e, env);
+                            }
+                            AbsVal::top()
                         }
-                        AbsVal::top()
                     };
                     *i = c + 1;
                     v
                 }
                 "[" => {
-                    let c = match_delim(t, j, end);
+                    let c = matching(t, j).unwrap_or(end);
                     // `[a, b, …]` or `[elem; N]`.
-                    let semi = scan_top(t, j + 1, c, |x| x.is_op(";"));
+                    let semi = find_top(t, j + 1, c, |x| x.is_op(";"));
                     let mut elem_ty = None;
                     if let Some(s) = semi {
                         let v = self.eval_expr(t, j + 1, s, env);
                         elem_ty = v.ty;
                         let _ = self.eval_expr(t, s + 1, c, env);
                     } else {
-                        for (idx, (s, e)) in split_commas(t, j + 1, c).iter().enumerate() {
+                        for (idx, (s, e)) in split_top(t, j + 1, c, ",", false).iter().enumerate() {
                             let v = self.eval_expr(t, *s, *e, env);
                             if idx == 0 {
                                 elem_ty = v.ty;
@@ -2633,8 +2206,8 @@ impl<'a> Analyzer<'a> {
                     AbsVal::top()
                 }
                 "unsafe" => {
-                    let b = skipc(t, j + 1);
-                    if t.get(b).is_some_and(|x| x.is_op("{")) {
+                    let b = j + 1;
+                    if at(t, b).is_some_and(|x| x.is_op("{")) {
                         let (ni, v) = self.walk_block(t, b, env);
                         *i = ni;
                         v.unwrap_or_else(AbsVal::top)
@@ -2644,7 +2217,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 "return" => {
-                    if skipc(t, j + 1) < end {
+                    if j + 1 < end {
                         let v = self.eval_expr(t, j + 1, end, env);
                         self.note_return(&v);
                     }
@@ -2673,11 +2246,11 @@ impl<'a> Analyzer<'a> {
         };
         // Postfix chain: `?`, `as`, field reads, method calls, indexing.
         loop {
-            let k = skipc(t, *i);
+            let k = *i;
             if k >= end {
                 break;
             }
-            let Some(tok) = t.get(k) else { break };
+            let Some(tok) = at(t, k) else { break };
             if tok.is_op("?") {
                 *i = k + 1;
                 continue;
@@ -2687,33 +2260,27 @@ impl<'a> Analyzer<'a> {
                 continue;
             }
             if tok.is_op(".") {
-                let f = skipc(t, k + 1);
-                let Some(ftok) = t.get(f) else { break };
+                let f = k + 1;
+                let Some(ftok) = at(t, f) else { break };
                 if ftok.kind == TokKind::Int {
                     val = self.field_read(&val, &ftok.text, env);
                     *i = f + 1;
                     continue;
                 }
                 if ftok.kind == TokKind::Ident && ftok.text != "await" {
-                    let mut after = skipc(t, f + 1);
-                    if t.get(after).is_some_and(|x| x.is_op("::")) {
+                    let mut after = f + 1;
+                    if at(t, after).is_some_and(|x| x.is_op("::")) {
                         // Turbofish `.collect::<Vec<_>>()`.
-                        after = skip_angles(t, skipc(t, after + 1), end);
-                        after = skipc(t, after);
+                        after = matching(t, after + 1).map_or(end, |c| c + 1);
                     }
-                    if t.get(after).is_some_and(|x| x.is_op("(")) {
-                        let c = match_delim(t, after, end);
-                        let spans = split_commas(t, after + 1, c);
+                    if at(t, after).is_some_and(|x| x.is_op("(")) {
+                        let c = matching(t, after).unwrap_or(end);
+                        let spans = split_top(t, after + 1, c, ",", false);
                         let args: Vec<AbsVal> = spans
                             .iter()
                             .map(|(s, e)| self.eval_expr(t, *s, *e, env))
                             .collect();
-                        let callees = self
-                            .call_map
-                            .get(&(self.cur_file, after))
-                            .cloned()
-                            .unwrap_or_default();
-                        let callees = self.filter_by_recv(callees, &val);
+                        let callees = self.filter_by_recv(self.callees_at(t, after), &val);
                         self.handle_call(&callees, Some(&val), &args, ftok.line);
                         val = self.method_value(&ftok.text, &val, &args, &callees);
                         *i = c + 1;
@@ -2730,15 +2297,15 @@ impl<'a> Analyzer<'a> {
                 break;
             }
             if tok.is_op("[") {
-                let c = match_delim(t, k, end);
+                let c = matching(t, k).unwrap_or(end);
                 // Evaluate index / slice-bound expressions.
                 if let Some(dots) =
-                    scan_top(t, k + 1, c, |x| matches!(x.text.as_str(), ".." | "..="))
+                    find_top(t, k + 1, c, |x| matches!(x.text.as_str(), ".." | "..="))
                 {
-                    if skipc(t, k + 1) < dots {
+                    if k + 1 < dots {
                         let _ = self.eval_expr(t, k + 1, dots, env);
                     }
-                    if skipc(t, dots + 1) < c {
+                    if dots + 1 < c {
                         let _ = self.eval_expr(t, dots + 1, c, env);
                     }
                     // A slice keeps the element type.
@@ -2763,23 +2330,19 @@ impl<'a> Analyzer<'a> {
 
     /// A path expression: `name`, `a::b::c`, a call, a macro, or a
     /// struct literal.
-    fn eval_path(&mut self, t: &[Token], i: &mut usize, end: usize, env: &mut Env) -> AbsVal {
-        let j = skipc(t, *i);
-        let Some(first) = t.get(j) else {
+    fn eval_path(&mut self, t: &[CodeTok<'_>], i: &mut usize, end: usize, env: &mut Env) -> AbsVal {
+        let j = *i;
+        let Some(first) = at(t, j) else {
             *i = j + 1;
             return AbsVal::top();
         };
         let mut segs = vec![first.text.clone()];
         *i = j + 1;
-        loop {
-            let k = skipc(t, *i);
-            if !t.get(k).is_some_and(|x| x.is_op("::")) {
-                break;
-            }
-            let n = skipc(t, k + 1);
-            match t.get(n) {
+        while at(t, *i).is_some_and(|x| x.is_op("::")) {
+            let n = *i + 1;
+            match at(t, n) {
                 Some(x) if x.is_op("<") => {
-                    *i = skip_angles(t, n, end);
+                    *i = matching(t, n).map_or(end, |c| c + 1);
                 }
                 Some(x) if x.kind == TokKind::Ident => {
                     segs.push(x.text.clone());
@@ -2788,18 +2351,16 @@ impl<'a> Analyzer<'a> {
                 _ => break,
             }
         }
-        let k = skipc(t, *i);
-        match t.get(k).map(|x| x.text.as_str()) {
+        let k = *i;
+        match at(t, k).map(|x| x.text.as_str()) {
             Some("(") => self.eval_call(t, i, k, end, &segs, env),
             Some("!") => {
                 // Macro invocation: evaluate the top-level argument
                 // spans for their obligations, value unknown.
-                let d = skipc(t, k + 1);
-                if t.get(d)
-                    .is_some_and(|x| matches!(x.text.as_str(), "(" | "[" | "{"))
-                {
-                    let c = match_delim(t, d, end);
-                    for (s, e) in split_commas(t, d + 1, c) {
+                let d = k + 1;
+                if at(t, d).is_some_and(|x| matches!(x.text.as_str(), "(" | "[" | "{")) {
+                    let c = matching(t, d).unwrap_or(end);
+                    for (s, e) in split_top(t, d + 1, c, ",", false) {
                         let _ = self.eval_expr(t, s, e, env);
                     }
                     *i = c + 1;
@@ -2816,7 +2377,13 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Distinguishes `Name { field: … }` struct literals from blocks.
-    fn is_struct_literal(&self, t: &[Token], brace: usize, end: usize, segs: &[String]) -> bool {
+    fn is_struct_literal(
+        &self,
+        t: &[CodeTok<'_>],
+        brace: usize,
+        end: usize,
+        segs: &[String],
+    ) -> bool {
         let Some(last) = segs.last() else {
             return false;
         };
@@ -2827,13 +2394,11 @@ impl<'a> Analyzer<'a> {
             return false;
         }
         // Lookahead: `{ ident:` / `{ ident,` / `{ ident }` / `{ .. }`.
-        let a = skipc(t, brace + 1);
-        match t.get(a) {
+        match at(t, brace + 1) {
             Some(x) if x.is_op("..") => true,
             Some(x) if x.kind == TokKind::Ident => {
-                let b = skipc(t, a + 1);
-                b < end
-                    && t.get(b)
+                brace + 2 < end
+                    && at(t, brace + 2)
                         .is_some_and(|x| x.is_op(":") || x.is_op(",") || x.is_op("}"))
             }
             _ => false,
@@ -2845,7 +2410,7 @@ impl<'a> Analyzer<'a> {
     /// assumption used at reads).
     fn eval_struct_literal(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: &mut usize,
         brace: usize,
         end: usize,
@@ -2857,21 +2422,19 @@ impl<'a> Analyzer<'a> {
             Some(s) => s.to_string(),
             None => return AbsVal::top(),
         };
-        let c = match_delim(t, brace, end);
-        for (s, e) in split_commas(t, brace + 1, c) {
-            let fs = skipc(t, s);
-            if t.get(fs).is_some_and(|x| x.is_op("..")) {
-                let _ = self.eval_expr(t, fs + 1, e, env);
+        let c = matching(t, brace).unwrap_or(end);
+        for (s, e) in split_top(t, brace + 1, c, ",", false) {
+            if at(t, s).is_some_and(|x| x.is_op("..")) {
+                let _ = self.eval_expr(t, s + 1, e, env);
                 continue;
             }
-            let Some(ftok) = t.get(fs).filter(|x| x.kind == TokKind::Ident) else {
+            let Some(ftok) = at(t, s).filter(|x| x.kind == TokKind::Ident) else {
                 continue;
             };
             let fname = ftok.text.clone();
             let line = ftok.line;
-            let colon = skipc(t, fs + 1);
-            let val = if t.get(colon).is_some_and(|x| x.is_op(":")) {
-                self.eval_expr(t, colon + 1, e, env)
+            let val = if at(t, s + 1).is_some_and(|x| x.is_op(":")) {
+                self.eval_expr(t, s + 2, e, env)
             } else {
                 // Shorthand `Name { len }`.
                 env.vars.get(&fname).cloned().unwrap_or_else(AbsVal::top)
@@ -2907,22 +2470,22 @@ impl<'a> Analyzer<'a> {
     /// identity constructors, and workspace summaries.
     fn eval_call(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: &mut usize,
         open: usize,
         end: usize,
         segs: &[String],
         env: &mut Env,
     ) -> AbsVal {
-        let c = match_delim(t, open, end);
-        let spans = split_commas(t, open + 1, c);
+        let c = matching(t, open).unwrap_or(end);
+        let spans = split_top(t, open + 1, c, ",", false);
         let args: Vec<AbsVal> = spans
             .iter()
             .map(|(s, e)| self.eval_expr(t, *s, *e, env))
             .collect();
         *i = c + 1;
         let name = segs.last().cloned().unwrap_or_default();
-        let line = t.get(open).map(|x| x.line).unwrap_or(0);
+        let line = at(t, open).map(|x| x.line).unwrap_or(0);
         // The checked_* cast-helper contract: the argument must fit the
         // target type (names are unique in the workspace).
         if let Some((bound, ty)) = helper_bound(&name) {
@@ -2958,13 +2521,17 @@ impl<'a> Analyzer<'a> {
                 return a0.clone();
             }
         }
-        let callees = self
-            .call_map
-            .get(&(self.cur_file, open))
-            .cloned()
-            .unwrap_or_default();
+        let callees = self.callees_at(t, open);
         self.handle_call(&callees, None, &args, line);
         self.call_value(&callees)
+    }
+
+    /// The workspace callees of the call whose `(` sits at view
+    /// position `paren`.
+    fn callees_at(&self, t: &[CodeTok<'_>], paren: usize) -> Vec<usize> {
+        let key = t.get(paren).map(|&(orig, _)| (self.cur_file, orig));
+        let hit = key.and_then(|k| self.call_map.get(&k));
+        hit.cloned().unwrap_or_default()
     }
 
     /// Join of the callees' return summaries (interval top as soon as
@@ -3064,11 +2631,9 @@ impl<'a> Analyzer<'a> {
             };
             let fname = f.name.clone();
             let fself = f.self_ty.clone();
-            let params: Vec<(String, Option<Unit>)> = self
+            let params: Vec<(String, Option<Unit>)> = f
                 .params
-                .get(id)
-                .into_iter()
-                .flatten()
+                .iter()
                 .map(|p| {
                     (
                         p.name.clone(),
@@ -3261,24 +2826,24 @@ impl<'a> Analyzer<'a> {
     }
 
     /// An `x as ty` cast: records cast proofs for L003 discharge and
-    /// clamps the value. `at` is the `as` token index.
+    /// clamps the value. `as_kw` is the `as` token position.
     fn eval_cast(
         &mut self,
-        t: &[Token],
+        t: &[CodeTok<'_>],
         i: &mut usize,
-        at: usize,
+        as_kw: usize,
         _end: usize,
         val: &AbsVal,
     ) -> AbsVal {
-        let line = t.get(at).map(|x| x.line).unwrap_or(0);
-        let mut j = skipc(t, at + 1);
+        let line = at(t, as_kw).map(|x| x.line).unwrap_or(0);
+        let mut j = as_kw + 1;
         // Pointer casts: `as *const T` / `as *mut T`.
-        while t.get(j).is_some_and(|x| {
+        while at(t, j).is_some_and(|x| {
             x.is_op("*") || x.is_ident("const") || x.is_ident("mut") || x.is_op("&")
         }) {
-            j = skipc(t, j + 1);
+            j += 1;
         }
-        let Some(tname) = t.get(j).filter(|x| x.kind == TokKind::Ident) else {
+        let Some(tname) = at(t, j).filter(|x| x.kind == TokKind::Ident) else {
             *i = j;
             return AbsVal::top();
         };
@@ -3478,37 +3043,6 @@ impl<'a> Analyzer<'a> {
             chain,
         ));
     }
-}
-
-/// Skips a `<…>` generic-argument list starting at the `<` at `open`;
-/// returns the index just past the closing angle.
-fn skip_angles(t: &[Token], open: usize, end: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = open;
-    while j < end {
-        match t.get(j).map(|x| x.text.as_str()) {
-            Some("<") => depth += 1,
-            Some("<<") => depth += 2,
-            Some(">") => {
-                depth -= 1;
-                if depth <= 0 {
-                    return j + 1;
-                }
-            }
-            Some(">>") => {
-                depth -= 2;
-                if depth <= 0 {
-                    return j + 1;
-                }
-            }
-            Some("(") | Some("[") | Some("{") => {
-                j = match_delim(t, j, end);
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    end
 }
 
 #[cfg(test)]
@@ -3771,6 +3305,16 @@ mod tests {
         let src = "pub fn f(v: u64) -> u64 {\n    let mut n = 0u32;\n    let mut acc = v;\n    while n < 64 {\n        acc ^= v << n;\n        n += 1;\n    }\n    acc\n}\n";
         let r = run(&[("crates/x/src/lib.rs", src)], "");
         assert_eq!(messages(&r), Vec::<String>::new());
+    }
+
+    #[test]
+    fn comments_between_tokens_do_not_change_proofs() {
+        // The walker reads the comment-free view, so the `!` of an
+        // assert is found past a comment and still bounds the shift.
+        let src = "pub fn f(v: u64, n: u32) -> u64 {\n    assert /* bound */ !(n < 64);\n    v << /* amount */ n\n}\n";
+        let r = run(&[("crates/x/src/lib.rs", src)], "");
+        assert_eq!(messages(&r), Vec::<String>::new());
+        assert_eq!((r.stats.obligations, r.stats.proven), (1, 1));
     }
 
     #[test]

@@ -29,7 +29,6 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::Call;
 use crate::config::Config;
-use crate::lexer::TokKind;
 use crate::locks::{FnLocks, LockDecl};
 use crate::report::Diagnostic;
 use crate::rules::{code_lines, semantic_finding, token_positions, SemanticRule, Workspace};
@@ -57,20 +56,19 @@ const BLOCKING_METHODS: &[(&str, &str)] = &[
 /// over the call graph to a `may_block` fixpoint. Acquisition and
 /// condvar-wait call sites (`summaries[id].skip_parens`) are never
 /// effects and never propagation edges.
-pub fn summarize(
-    ws: &Workspace<'_>,
-    views: &[Vec<CodeTok<'_>>],
-    summaries: &[FnLocks],
-) -> Summary<bool> {
+pub fn summarize(ws: &Workspace<'_>, summaries: &[FnLocks]) -> Summary<bool> {
     let direct = ws
         .symbols
         .fns
         .iter()
         .enumerate()
-        .map(|(id, f)| match (f.body, views.get(f.file)) {
-            (Some((start, end)), Some(view)) if !f.is_test => {
-                direct_effects(span(view, start, end), &summaries[id].skip_parens)
-            }
+        .map(|(id, f)| match (f.body, ws.views.get(f.file)) {
+            (Some((start, end)), Some(view)) if !f.is_test => direct_effects(
+                view,
+                span(view, start, end),
+                ws.calls_of(id),
+                &summaries[id].skip_parens,
+            ),
             _ => Vec::new(),
         })
         .collect();
@@ -79,58 +77,59 @@ pub fn summarize(
     })
 }
 
-/// Token walk over one body collecting blocking sites.
-fn direct_effects(toks: &[CodeTok<'_>], skip: &BTreeSet<usize>) -> Vec<Site<bool>> {
-    let mut out = Vec::new();
+/// One body's blocking sites: its `std::fs::…` paths, plus the call
+/// sites (from the call graph, shaped by [`Call::shape`]) that block.
+fn direct_effects(
+    view: &[CodeTok<'_>],
+    body: &[CodeTok<'_>],
+    calls: &[Call],
+    skip: &BTreeSet<usize>,
+) -> Vec<Site<bool>> {
     let site = |pos, line, desc| Site {
         pos,
         line,
         desc,
         fact: true,
     };
-    for j in 0..toks.len() {
-        let (orig, t) = toks[j];
+    let mut out = Vec::new();
+    for (j, &(orig, t)) in body.iter().enumerate() {
         // `std :: fs :: name` — any real-filesystem call blocks (and
         // on the mutation subset, L008 additionally owns the policy).
+        let tok = |k: usize| body.get(j + k).map(|&(_, x)| x);
         if t.is_ident("std")
-            && toks.get(j + 1).is_some_and(|(_, x)| x.is_op("::"))
-            && toks.get(j + 2).is_some_and(|(_, x)| x.is_ident("fs"))
-            && toks.get(j + 3).is_some_and(|(_, x)| x.is_op("::"))
+            && tok(1).is_some_and(|x| x.is_op("::"))
+            && tok(2).is_some_and(|x| x.is_ident("fs"))
+            && tok(3).is_some_and(|x| x.is_op("::"))
         {
-            let name = toks.get(j + 4).map(|(_, x)| x.text.as_str()).unwrap_or("…");
+            let name = tok(4).map_or("…", |x| x.text.as_str());
             out.push(site(
                 orig,
                 t.line,
                 format!("std::fs::{name} touches the real filesystem"),
             ));
-            continue;
         }
-        if !t.is_op("(") || j < 2 {
+    }
+    for call in calls {
+        let Some(shape) = call.shape(view) else {
             continue;
-        }
-        let (mpos, m) = toks[j - 1];
-        if m.kind != TokKind::Ident {
-            continue;
-        }
-        let dotted = toks[j - 2].1.is_op(".");
-        if !dotted && !toks[j - 2].1.is_op("::") {
-            continue;
-        }
-        if skip.contains(&orig) {
+        };
+        if skip.contains(&call.paren) {
             continue; // lock acquisition or sanctioned condvar wait
         }
+        let (pos, m) = shape.name;
         // Thread join: `.join()` with an empty argument list. With
         // arguments it is `Path::join`/`Unit::join` — pure.
-        if dotted && m.is_ident("join") && toks.get(j + 1).is_some_and(|(_, x)| x.is_op(")")) {
+        if shape.dotted && m.is_ident("join") && shape.next.is_some_and(|x| x.is_op(")")) {
             out.push(site(
-                mpos,
+                pos,
                 m.line,
                 "`.join()` blocks on thread completion".into(),
             ));
         } else if let Some((_, why)) = BLOCKING_METHODS.iter().find(|(n, _)| m.is_ident(n)) {
-            out.push(site(mpos, m.line, format!("`.{}(…)` {why}", m.text)));
+            out.push(site(pos, m.line, format!("`.{}(…)` {why}", m.text)));
         }
     }
+    out.sort_by_key(|s| s.pos);
     out
 }
 

@@ -15,7 +15,7 @@ use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::report::{Diagnostic, Report, Severity};
 use crate::rules::{registry, semantic_registry, Workspace};
-use crate::scan::{scan, ScannedFile};
+use crate::scan::{code_views, scan, ScannedFile};
 use crate::symbols::SymbolTable;
 
 /// Severity overrides from `--deny <rule>` / `--warn <rule>` flags,
@@ -97,24 +97,28 @@ pub fn lint_files(
         scanned.push(scan(path.clone(), rel, &text));
     }
 
+    // One comment-free token view per file, shared by every layer.
+    let views = code_views(&scanned);
+
     // Layer 1: per-file lexical rules.
     let rules = registry();
     let mut all: Vec<Diagnostic> = Vec::new();
-    for file in &scanned {
+    for (file, view) in scanned.iter().zip(&views) {
         for rule in &rules {
             if !cfg.rule_applies(rule.id(), &file.rel) {
                 continue;
             }
-            rule.check(file, cfg, &mut all);
+            rule.check(file, view, cfg, &mut all);
         }
     }
 
     // Layer 2: workspace-level semantic rules over the symbol table
     // and call graph.
-    let symbols = SymbolTable::build(&scanned);
-    let calls = CallGraph::build(&symbols, &scanned);
+    let symbols = SymbolTable::build(&scanned, &views);
+    let calls = CallGraph::build(&symbols, &views);
     let ws = Workspace {
         files: &scanned,
+        views,
         symbols: &symbols,
         calls: &calls,
     };
@@ -368,8 +372,9 @@ mod tests {
         let text = "fn f() {\n    let a = x.unwrap(); // lint: allow(L001, reason = \"seeded\")\n    let b = y.unwrap();\n}\n// lint: allow(L003, reason = \"nothing to suppress\")\nfn g() {}\n";
         let file = scan(PathBuf::from("t.rs"), "t.rs".into(), text);
         let mut diags = Vec::new();
+        let view = &code_views(std::slice::from_ref(&file))[0];
         for rule in registry() {
-            rule.check(&file, &Config::default(), &mut diags);
+            rule.check(&file, view, &Config::default(), &mut diags);
         }
         apply_pragmas(&file, &mut diags);
         let suppressed: Vec<_> = diags.iter().filter(|d| d.suppressed).collect();
@@ -392,8 +397,9 @@ mod tests {
         let text = "// lint: allow(L001)\nfn f() { x.unwrap(); }\n";
         let file = scan(PathBuf::from("t.rs"), "t.rs".into(), text);
         let mut diags = Vec::new();
+        let view = &code_views(std::slice::from_ref(&file))[0];
         for rule in registry() {
-            rule.check(&file, &Config::default(), &mut diags);
+            rule.check(&file, view, &Config::default(), &mut diags);
         }
         apply_pragmas(&file, &mut diags);
         assert!(diags.iter().any(|d| d.rule == "P000"));

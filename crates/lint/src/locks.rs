@@ -51,7 +51,7 @@ use crate::effects;
 use crate::lexer::TokKind;
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
-use crate::scan::{code_views, matching, path_back, position, span, CodeTok};
+use crate::scan::{path_back, position, span, CodeTok};
 use crate::summary::{render, Site, Summary};
 
 /// What kind of synchronisation primitive a declaration is.
@@ -191,27 +191,26 @@ impl SemanticRule for LockOrder {
 /// directly (like R002's `dataflow::analyze`) so R003 and R004 share
 /// one pass; the rule impls exist for `--list-rules` and direct tests.
 pub fn analyze(ws: &Workspace<'_>, _cfg: &Config) -> LockAnalysis {
-    let views = code_views(ws.files);
-    let registry = build_registry(&views);
-    let condvars = condvar_fields(&views);
+    let registry = build_registry(ws);
+    let condvars = condvar_fields(ws);
     // Pass 1: signature-level facts (guard-returning helpers) plus
     // direct field/static/param acquisitions.
     let direct: Vec<FnLocks> = (0..ws.symbols.fns.len())
-        .map(|id| scan_fn(ws, &views, id, &registry, &condvars))
+        .map(|id| scan_fn(ws, id, &registry, &condvars))
         .collect();
     // Pass 2: add acquisitions made through guard-returning helpers,
     // now that every helper's summary is known.
     let summaries: Vec<FnLocks> = (0..direct.len())
         .map(|id| {
             let mut s = direct[id].clone();
-            helper_acquisitions(ws, &views, id, &registry, &direct, &mut s);
+            helper_acquisitions(ws, id, &registry, &direct, &mut s);
             s.acquired.sort_by_key(|a| a.paren);
             s
         })
         .collect();
 
     let trans = transitive_locks(ws, registry.len(), &summaries);
-    let effects = effects::summarize(ws, &views, &summaries);
+    let effects = effects::summarize(ws, &summaries);
     let edges = order_edges(ws, &registry, &summaries, &trans);
 
     let mut analysis = LockAnalysis {
@@ -265,107 +264,71 @@ fn lock_ty_at(toks: &[CodeTok<'_>], mut i: usize) -> Option<LockKind> {
     None
 }
 
-/// Scans every file's view for lock-typed struct fields and statics.
-pub fn build_registry(views: &[Vec<CodeTok<'_>>]) -> Vec<LockDecl> {
-    let mut out = Vec::new();
-    for (fidx, toks) in views.iter().enumerate() {
-        let mut i = 0usize;
-        while i < toks.len() {
-            let (_, t) = toks[i];
-            if t.is_ident("struct") {
-                scan_struct_fields(toks, i, fidx, &mut out);
-            } else if t.is_ident("static") {
-                // `static NAME : <lock type> = …`.
-                let name = toks.get(i + 1).filter(|(_, n)| n.kind == TokKind::Ident);
-                let colon = toks.get(i + 2).is_some_and(|(_, c)| c.is_op(":"));
-                if let (Some((_, name)), true) = (name, colon) {
-                    if let Some(kind) = lock_ty_at(toks, i + 3) {
-                        out.push(LockDecl {
-                            id: name.text.clone(),
-                            owner: None,
-                            name: name.text.clone(),
-                            kind,
-                            file: fidx,
-                            line: name.line,
-                        });
-                    }
+/// Registers every lock-typed struct field (read from the symbol
+/// table's field records) and `static`, in source order.
+pub fn build_registry(ws: &Workspace<'_>) -> Vec<LockDecl> {
+    let mut out: Vec<(usize, usize, LockDecl)> = Vec::new(); // (file, token, decl)
+    for rec in &ws.symbols.structs {
+        let Some(view) = ws.views.get(rec.file) else {
+            continue;
+        };
+        // Named fields only: a tuple field is never a lock receiver.
+        let named = rec
+            .fields
+            .iter()
+            .filter(|f| !f.name.starts_with(|c: char| c.is_ascii_digit()));
+        for field in named {
+            if let Some(kind) = lock_ty_at(span(view, field.ty.0, field.ty.1), 0) {
+                let decl = LockDecl {
+                    id: format!("{}.{}", rec.name, field.name),
+                    owner: Some(rec.name.clone()),
+                    name: field.name.clone(),
+                    kind,
+                    file: rec.file,
+                    line: field.line,
+                };
+                out.push((rec.file, rec.at, decl));
+            }
+        }
+    }
+    for (fidx, toks) in ws.views.iter().enumerate() {
+        for (i, &(at, t)) in toks.iter().enumerate() {
+            // `static NAME : <lock type> = …`.
+            let name = toks.get(i + 1).filter(|(_, n)| n.kind == TokKind::Ident);
+            let colon = toks.get(i + 2).is_some_and(|(_, c)| c.is_op(":"));
+            if let (true, Some((_, name)), true) = (t.is_ident("static"), name, colon) {
+                if let Some(kind) = lock_ty_at(toks, i + 3) {
+                    let decl = LockDecl {
+                        id: name.text.clone(),
+                        owner: None,
+                        name: name.text.clone(),
+                        kind,
+                        file: fidx,
+                        line: name.line,
+                    };
+                    out.push((fidx, at, decl));
                 }
             }
-            i += 1;
         }
     }
-    out
-}
-
-/// Registers the lock-typed fields of one `struct Name { … }`.
-fn scan_struct_fields(toks: &[CodeTok<'_>], at: usize, fidx: usize, out: &mut Vec<LockDecl>) {
-    let Some((_, name)) = toks.get(at + 1).filter(|(_, t)| t.kind == TokKind::Ident) else {
-        return;
-    };
-    let struct_name = name.text.clone();
-    // Find the body `{`, skipping generics; `;` means a unit/tuple
-    // struct (no named lock fields to register).
-    let mut i = at + 2;
-    let mut angle = 0i64;
-    let open = loop {
-        let Some((_, t)) = toks.get(i) else { return };
-        match t.text.as_str() {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            ">>" => angle -= 2,
-            "<<" => angle += 2,
-            "{" if angle <= 0 => break i,
-            ";" | "(" if angle <= 0 => return,
-            _ => {}
-        }
-        i += 1;
-    };
-    // Walk `field : Type` pairs at depth 1.
-    let mut depth = 1i64;
-    let mut i = open + 1;
-    while i < toks.len() && depth > 0 {
-        let (_, t) = toks[i];
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            _ => {}
-        }
-        if depth == 1
-            && t.kind == TokKind::Ident
-            && toks.get(i + 1).is_some_and(|(_, c)| c.is_op(":"))
-            && toks
-                .get(i.wrapping_sub(1))
-                .is_none_or(|(_, p)| matches!(p.text.as_str(), "{" | "," | "pub" | ")"))
-        {
-            if let Some(kind) = lock_ty_at(toks, i + 2) {
-                out.push(LockDecl {
-                    id: format!("{struct_name}.{}", t.text),
-                    owner: Some(struct_name.clone()),
-                    name: t.text.clone(),
-                    kind,
-                    file: fidx,
-                    line: t.line,
-                });
-            }
-        }
-        i += 1;
-    }
+    out.sort_by_key(|&(file, at, _)| (file, at));
+    out.into_iter().map(|(_, _, decl)| decl).collect()
 }
 
 /// Names of struct fields declared as `Condvar` — their `.wait(…)`
 /// family atomically releases the guard passed in.
-pub fn condvar_fields(views: &[Vec<CodeTok<'_>>]) -> BTreeSet<String> {
+pub fn condvar_fields(ws: &Workspace<'_>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for toks in views {
-        for i in 0..toks.len() {
-            let (_, t) = toks[i];
-            if t.kind == TokKind::Ident
-                && toks.get(i + 1).is_some_and(|(_, c)| c.is_op(":"))
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|(_, ty)| ty.is_ident("Condvar"))
+    for rec in &ws.symbols.structs {
+        let Some(view) = ws.views.get(rec.file) else {
+            continue;
+        };
+        for f in &rec.fields {
+            if span(view, f.ty.0, f.ty.1)
+                .first()
+                .is_some_and(|(_, t)| t.is_ident("Condvar"))
             {
-                out.insert(t.text.clone());
+                out.insert(f.name.clone());
             }
         }
     }
@@ -387,7 +350,6 @@ fn method_kind(name: &str) -> Option<LockKind> {
 /// facts, and condvar-wait sites.
 fn scan_fn(
     ws: &Workspace<'_>,
-    views: &[Vec<CodeTok<'_>>],
     id: usize,
     registry: &[LockDecl],
     condvars: &BTreeSet<String>,
@@ -396,11 +358,19 @@ fn scan_fn(
     let Some(f) = ws.symbols.fns.get(id) else {
         return s;
     };
-    let (Some((start, end)), Some(view)) = (f.body, views.get(f.file)) else {
+    let (Some((start, end)), Some(view)) = (f.body, ws.views.get(f.file)) else {
         return s;
     };
-    let sig = f.signature(view);
-    s.lock_params = lock_typed_params(sig);
+    // Lock-typed parameters: `name : [&] [lifetime] [mut] Mutex<…>`.
+    for (idx, p) in f.params.iter().enumerate() {
+        let ty = span(view, p.ty.0, p.ty.1);
+        let k = ty
+            .iter()
+            .take_while(|(_, x)| x.is_op("&") || x.kind == TokKind::Lifetime || x.is_ident("mut"));
+        if let Some(kind) = lock_ty_at(ty, k.count()) {
+            s.lock_params.push((idx, p.name.clone(), kind));
+        }
+    }
     let toks = span(view, start, end);
 
     let mut first_acq: Option<LockRef> = None;
@@ -453,7 +423,16 @@ fn scan_fn(
             });
         }
     }
-    if returns_guard(sig) {
+    // A guard-typed return makes this a lock helper.
+    let guard_ty = |(_, t): &CodeTok<'_>| {
+        matches!(
+            t.text.as_str(),
+            "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
+        )
+    };
+    if f.ret
+        .is_some_and(|(lo, hi)| span(view, lo, hi).iter().any(guard_ty))
+    {
         // A helper that hands its guard out: prefer the lock-typed
         // parameter (generic helpers), else the first acquisition.
         s.returns_guard = s
@@ -467,73 +446,6 @@ fn scan_fn(
         }
     }
     s
-}
-
-/// The parameter list of signature `sig` (`fn name [<…>] ( … )`) as
-/// the positions of its parens.
-fn params(sig: &[CodeTok<'_>]) -> Option<(usize, usize)> {
-    let mut open = 2;
-    if sig.get(open)?.1.is_op("<") {
-        open = matching(sig, open)? + 1;
-    }
-    if !sig.get(open)?.1.is_op("(") {
-        return None;
-    }
-    Some((open, matching(sig, open)?))
-}
-
-/// Lock-typed parameters of signature `toks`: `(param index, name,
-/// kind)`.
-fn lock_typed_params(toks: &[CodeTok<'_>]) -> Vec<(usize, String, LockKind)> {
-    let Some((open, close)) = params(toks) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut idx = 0usize;
-    let mut depth = 0i64;
-    let mut i = open + 1;
-    while i < close {
-        let (_, t) = toks[i];
-        match t.text.as_str() {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            "<<" => depth += 2,
-            ">>" => depth -= 2,
-            "," if depth == 0 => idx += 1,
-            _ => {}
-        }
-        if depth == 0
-            && t.kind == TokKind::Ident
-            && toks.get(i + 1).is_some_and(|(_, c)| c.is_op(":"))
-        {
-            // `name : [&] [lifetime] [mut] Mutex<…>`.
-            let mut k = i + 2;
-            while toks.get(k).is_some_and(|(_, x)| {
-                x.is_op("&") || x.kind == TokKind::Lifetime || x.is_ident("mut")
-            }) {
-                k += 1;
-            }
-            if let Some(kind) = lock_ty_at(toks, k) {
-                out.push((idx, t.text.clone(), kind));
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// True when signature `sig` declares a guard-typed return.
-fn returns_guard(sig: &[CodeTok<'_>]) -> bool {
-    let Some((_, close)) = params(sig) else {
-        return false;
-    };
-    sig.get(close + 1).is_some_and(|(_, t)| t.is_op("->"))
-        && sig[close + 1..].iter().any(|(_, t)| {
-            matches!(
-                t.text.as_str(),
-                "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
-            )
-        })
 }
 
 /// Resolves the receiver of `….m(` (the `(` at comment-free index `j`)
@@ -691,7 +603,6 @@ fn guard_scope(toks: &[CodeTok<'_>], j: usize, body_end: usize) -> Option<(usize
 /// Adds acquisitions made through calls to guard-returning helpers.
 fn helper_acquisitions(
     ws: &Workspace<'_>,
-    views: &[Vec<CodeTok<'_>>],
     id: usize,
     registry: &[LockDecl],
     direct: &[FnLocks],
@@ -700,7 +611,7 @@ fn helper_acquisitions(
     let Some(f) = ws.symbols.fns.get(id) else {
         return;
     };
-    let (Some((start, body_end)), Some(view)) = (f.body, views.get(f.file)) else {
+    let (Some((start, body_end)), Some(view)) = (f.body, ws.views.get(f.file)) else {
         return;
     };
     let toks = span(view, start, body_end);
@@ -1035,12 +946,12 @@ struct Queue { state: Mutex<u32>, cv: Condvar }
 static GLOBAL: Mutex<u8> = Mutex::new(0);
 ";
         let t = TestWorkspace::new(&[("x.rs", src)]);
-        let views = code_views(&t.files);
-        let reg = build_registry(&views);
+        let ws = t.ws();
+        let reg = build_registry(&ws);
         let ids: Vec<&str> = reg.iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, ["Cell.inner", "Queue.state", "GLOBAL"], "{reg:?}");
         assert_eq!(reg[0].kind, LockKind::RwLock);
-        assert!(condvar_fields(&views).contains("cv"));
+        assert!(condvar_fields(&ws).contains("cv"));
     }
 
     #[test]

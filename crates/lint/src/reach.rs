@@ -68,8 +68,8 @@ impl SemanticRule for PanicReach {
         }
         let parent = reachable(ws, roots);
 
-        for (fidx, file) in ws.files.iter().enumerate() {
-            for (line_no, what, owner) in panic_sites(file, cfg) {
+        for (fidx, (file, view)) in ws.files.iter().zip(&ws.views).enumerate() {
+            for (line_no, what, owner) in panic_sites(file, view, cfg) {
                 // A reasoned pragma for the owning lexical rule means
                 // this site's risk is already argued in place.
                 let argued = file.pragmas.iter().any(|p| {
@@ -113,6 +113,7 @@ impl SemanticRule for PanicReach {
 /// ordinary outside bit-math modules).
 fn panic_sites(
     file: &crate::scan::ScannedFile,
+    view: &[crate::scan::CodeTok<'_>],
     cfg: &Config,
 ) -> Vec<(usize, String, &'static str)> {
     let mut sites = Vec::new();
@@ -127,7 +128,7 @@ fn panic_sites(
         }
     }
     if cfg.rule_applies("L006", &file.rel) && cfg.has_section("rules.L006") {
-        for (line_no, what) in arith_sites(file) {
+        for (line_no, what) in arith_sites(file, view) {
             sites.push((line_no, what, "L006"));
         }
     }

@@ -54,7 +54,7 @@ use crate::lexer::{int_suffix, TokKind, Token};
 use crate::report::{Diagnostic, Severity};
 use crate::scan::{matching, position, CodeTok, ScannedFile};
 use crate::symbols::{FnSym, SymbolTable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A lint rule over one scanned file.
 pub trait Rule {
@@ -64,8 +64,15 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// One-line contract description (for `--list-rules`).
     fn describe(&self) -> &'static str;
-    /// Appends findings for `file` to `out`.
-    fn check(&self, file: &ScannedFile, cfg: &Config, out: &mut Vec<Diagnostic>);
+    /// Appends findings for `file` (whose comment-free view is `code`)
+    /// to `out`.
+    fn check(
+        &self,
+        file: &ScannedFile,
+        code: &[CodeTok<'_>],
+        cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    );
 }
 
 /// All registered per-file rules, in id order.
@@ -85,6 +92,9 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
 pub struct Workspace<'a> {
     /// All scanned files, in discovery order.
     pub files: &'a [ScannedFile],
+    /// One comment-free view per file, same indexing as `files`, built
+    /// once per run: every semantic layer indexes these.
+    pub views: Vec<Vec<CodeTok<'a>>>,
     /// The item-level symbol table.
     pub symbols: &'a SymbolTable,
     /// The intra-workspace call graph (same fn indexing as `symbols`).
@@ -243,7 +253,13 @@ impl Rule for NoPanicPaths {
     fn describe(&self) -> &'static str {
         "no unwrap/expect/panic!/todo!/unimplemented!/unreachable!/indexing-by-literal in non-test library code"
     }
-    fn check(&self, file: &ScannedFile, _cfg: &Config, out: &mut Vec<Diagnostic>) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        _: &[CodeTok<'_>],
+        _cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
         for (line_no, code) in code_lines(file) {
             for &(tok, why) in PANIC_TOKENS {
                 // `.unwrap()` / `.expect(` start with '.', which the
@@ -331,7 +347,13 @@ impl Rule for Determinism {
     fn describe(&self) -> &'static str {
         "no HashMap/HashSet, wall-clock reads, or unstable float formatting in product-producing modules"
     }
-    fn check(&self, file: &ScannedFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        _: &[CodeTok<'_>],
+        cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let configured = cfg.list("rules.L002", "tokens");
         let defaults: Vec<String> = DETERMINISM_TOKENS.iter().map(|s| s.to_string()).collect();
         let tokens: &[String] = if configured.is_empty() {
@@ -423,7 +445,13 @@ impl Rule for CastSafety {
     fn describe(&self) -> &'static str {
         "no raw `as u8/u16/u32/usize` in bit/nybble math — use v6census_addr::cast::checked_* or uN::from"
     }
-    fn check(&self, file: &ScannedFile, _cfg: &Config, out: &mut Vec<Diagnostic>) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        _: &[CodeTok<'_>],
+        _cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
         for (line_no, code) in code_lines(file) {
             for at in token_positions(code, "as") {
                 let after = code[at + 2..].trim_start();
@@ -466,7 +494,13 @@ impl Rule for ErrorTaxonomy {
     fn describe(&self) -> &'static str {
         "public fn returning Result must use a typed error, not String or Box<dyn Error>"
     }
-    fn check(&self, file: &ScannedFile, _cfg: &Config, out: &mut Vec<Diagnostic>) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        _: &[CodeTok<'_>],
+        _cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let lines: Vec<(usize, &str)> = code_lines(file).collect();
         for (idx, &(line_no, code)) in lines.iter().enumerate() {
             let Some(fn_at) = pub_fn_position(code) else {
@@ -581,7 +615,13 @@ impl Rule for ExitCodes {
     fn describe(&self) -> &'static str {
         "process::exit must use the documented EXIT_OK/EXIT_DATA_ERROR/EXIT_USAGE/EXIT_DEGRADED constants"
     }
-    fn check(&self, file: &ScannedFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        _: &[CodeTok<'_>],
+        cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let configured = cfg.list("rules.L005", "exit_idents");
         let defaults: Vec<String> = EXIT_IDENTS.iter().map(|s| s.to_string()).collect();
         let allowed: &[String] = if configured.is_empty() {
@@ -639,51 +679,51 @@ const EXPR_BREAK_KEYWORDS: &[&str] = &[
     "return", "match", "if", "while", "in", "break", "else", "let", "as",
 ];
 
-/// Arithmetic panic/overflow sites in one file as `(line, what)`.
-/// Shared between the L006 rule and R001 panic-reachability.
-pub(crate) fn arith_sites(file: &ScannedFile) -> Vec<(usize, String)> {
-    let toks: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
+/// Arithmetic panic/overflow sites in one file (comment-free view
+/// `code`) as `(line, what)`. Shared between the L006 rule and R001
+/// panic-reachability.
+pub(crate) fn arith_sites(file: &ScannedFile, code: &[CodeTok<'_>]) -> Vec<(usize, String)> {
+    let tok = |k: usize| code.get(k).map(|&(_, t)| t);
 
     // Names declared with an explicitly sized type (`x: u8` covers
     // locals, params, and struct fields) or `let`-bound to a
     // sized-suffix literal (`let m = 1u128`).
     let mut tracked: BTreeSet<&str> = BTreeSet::new();
-    for (w, t) in toks.iter().enumerate() {
+    for (w, &(_, t)) in code.iter().enumerate() {
         if t.kind == TokKind::Ident
-            && toks.get(w + 1).is_some_and(|n| n.is_op(":"))
-            && toks
-                .get(w + 2)
+            && tok(w + 1).is_some_and(|n| n.is_op(":"))
+            && tok(w + 2)
                 .is_some_and(|n| n.kind == TokKind::Ident && SIZED_INTS.contains(&n.text.as_str()))
         {
             tracked.insert(t.text.as_str());
         }
         if t.is_ident("let") {
             let mut n = w + 1;
-            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
+            if tok(n).is_some_and(|t| t.is_ident("mut")) {
                 n += 1;
             }
-            if toks.get(n).is_some_and(|t| t.kind == TokKind::Ident)
-                && toks.get(n + 1).is_some_and(|t| t.is_op("="))
-                && toks.get(n + 2).is_some_and(|t| {
+            if tok(n).is_some_and(|t| t.kind == TokKind::Ident)
+                && tok(n + 1).is_some_and(|t| t.is_op("="))
+                && tok(n + 2).is_some_and(|t| {
                     t.kind == TokKind::Int
                         && int_suffix(&t.text).is_some_and(|s| SIZED_INTS.contains(&s))
                 })
             {
-                if let Some(name) = toks.get(n) {
+                if let Some(name) = tok(n) {
                     tracked.insert(name.text.as_str());
                 }
             }
         }
     }
 
-    let sized_operand = |tok: Option<&&Token>| {
+    let sized_operand = |tok: Option<&Token>| {
         tok.is_some_and(|t| match t.kind {
             TokKind::Ident => tracked.contains(t.text.as_str()),
             TokKind::Int => int_suffix(&t.text).is_some_and(|s| SIZED_INTS.contains(&s)),
             _ => false,
         })
     };
-    let int_literal = |tok: Option<&&Token>| tok.is_some_and(|t| t.kind == TokKind::Int);
+    let int_literal = |tok: Option<&Token>| tok.is_some_and(|t| t.kind == TokKind::Int);
 
     let mut out = Vec::new();
     // Angle-bracket depth, so `>>` closing nested generics
@@ -697,14 +737,14 @@ pub(crate) fn arith_sites(file: &ScannedFile) -> Vec<(usize, String)> {
     // swallowed. (`a<b` followed by a shift before any such operator,
     // e.g. in one argument list, remains a known blind spot.)
     let mut angle = 0usize;
-    for (j, t) in toks.iter().enumerate() {
+    for (j, &(_, t)) in code.iter().enumerate() {
         if t.kind != TokKind::Op {
             continue;
         }
-        let hugs_prev = j.checked_sub(1).and_then(|p| toks.get(p)).is_some_and(|p| {
+        let hugs_prev = j.checked_sub(1).and_then(tok).is_some_and(|p| {
             p.end == t.start && (p.kind == TokKind::Ident || p.is_op("::") || p.is_op(">"))
         });
-        let next_starts_type = toks.get(j + 1).is_some_and(|n| match n.kind {
+        let next_starts_type = tok(j + 1).is_some_and(|n| match n.kind {
             TokKind::Ident | TokKind::Lifetime | TokKind::Int => true,
             TokKind::Op => matches!(n.text.as_str(), "<" | "&" | "(" | "[" | "*"),
             _ => false,
@@ -722,8 +762,8 @@ pub(crate) fn arith_sites(file: &ScannedFile) -> Vec<(usize, String)> {
         if file.is_test_line(t.line) {
             continue;
         }
-        let prev = j.checked_sub(1).and_then(|p| toks.get(p));
-        let next = toks.get(j + 1);
+        let prev = j.checked_sub(1).and_then(tok);
+        let next = tok(j + 1);
         // A binary operator's left operand just ended: an ident (but
         // not a statement keyword), a literal, or a closing bracket.
         let binary = prev.is_some_and(|p| match p.kind {
@@ -782,8 +822,14 @@ impl Rule for UncheckedArith {
     fn describe(&self) -> &'static str {
         "no bare + - * on sized integers or variable-amount shifts in bit math — use checked_*/wrapping_* or addr::bits"
     }
-    fn check(&self, file: &ScannedFile, _cfg: &Config, out: &mut Vec<Diagnostic>) {
-        for (line, what) in arith_sites(file) {
+    fn check(
+        &self,
+        file: &ScannedFile,
+        code: &[CodeTok<'_>],
+        _cfg: &Config,
+        out: &mut Vec<Diagnostic>,
+    ) {
+        for (line, what) in arith_sites(file, code) {
             out.push(finding(
                 self,
                 file,
@@ -815,8 +861,6 @@ impl SemanticRule for DiscardedResults {
     }
     fn check(&self, ws: &Workspace<'_>, _cfg: &Config, out: &mut Vec<Diagnostic>) {
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-        // Comment-free token views, built lazily once per file.
-        let mut views: BTreeMap<usize, Vec<CodeTok<'_>>> = BTreeMap::new();
         for (id, f) in ws.symbols.fns.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -845,7 +889,9 @@ impl SemanticRule for DiscardedResults {
                 if line.in_test {
                     continue;
                 }
-                let toks = views.entry(f.file).or_insert_with(|| file.code_tokens());
+                let Some(toks) = ws.views.get(f.file) else {
+                    continue;
+                };
                 let Some(pos) = position(toks, call.paren) else {
                     continue;
                 };
@@ -961,7 +1007,7 @@ fn trailing_ok_discard(toks: &[CodeTok<'_>], open: usize) -> bool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::scan::scan;
+    use crate::scan::{code_views, scan};
     use std::path::PathBuf;
 
     /// A test-owned workspace: scanned in-memory sources plus the
@@ -980,8 +1026,9 @@ pub(crate) mod tests {
                 .iter()
                 .map(|(rel, src)| scan(PathBuf::from(rel), (*rel).into(), src))
                 .collect();
-            let symbols = SymbolTable::build(&files);
-            let calls = CallGraph::build(&symbols, &files);
+            let views = code_views(&files);
+            let symbols = SymbolTable::build(&files, &views);
+            let calls = CallGraph::build(&symbols, &views);
             TestWorkspace {
                 files,
                 symbols,
@@ -993,6 +1040,7 @@ pub(crate) mod tests {
         pub(crate) fn ws(&self) -> Workspace<'_> {
             Workspace {
                 files: &self.files,
+                views: code_views(&self.files),
                 symbols: &self.symbols,
                 calls: &self.calls,
             }
@@ -1002,7 +1050,12 @@ pub(crate) mod tests {
     fn check_one(rule: &dyn Rule, src: &str) -> Vec<Diagnostic> {
         let f = scan(PathBuf::from("t.rs"), "t.rs".into(), src);
         let mut out = Vec::new();
-        rule.check(&f, &Config::default(), &mut out);
+        rule.check(
+            &f,
+            &code_views(std::slice::from_ref(&f))[0],
+            &Config::default(),
+            &mut out,
+        );
         out
     }
 

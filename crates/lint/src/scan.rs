@@ -89,20 +89,16 @@ impl ScannedFile {
 /// are comparable across layers.
 pub type CodeTok<'a> = (usize, &'a Token);
 
-impl ScannedFile {
-    /// The file's comment-free token view.
-    pub fn code_tokens(&self) -> Vec<CodeTok<'_>> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_comment())
-            .collect()
-    }
-}
-
-/// One comment-free view per file, same indexing as `files`.
+/// One comment-free view per file, same indexing as `files`. The
+/// engine builds these once per run and every layer indexes them.
 pub fn code_views(files: &[ScannedFile]) -> Vec<Vec<CodeTok<'_>>> {
-    files.iter().map(ScannedFile::code_tokens).collect()
+    files
+        .iter()
+        .map(|f| {
+            let code = f.tokens.iter().enumerate();
+            code.filter(|(_, t)| !t.is_comment()).collect()
+        })
+        .collect()
 }
 
 /// The part of `view` whose original indices lie in `[start, end)`.
@@ -160,6 +156,91 @@ pub fn matching(toks: &[CodeTok<'_>], at: usize) -> Option<usize> {
         }
         i = if forward { i + 1 } else { i.checked_sub(1)? };
     }
+}
+
+/// Bracket-depth change of one token: `(`/`[`/`{` open, `)`/`]`/`}`
+/// close, and with `angles` (type lists, where `<` is never a
+/// comparison) `<`/`>` count too, `<<`/`>>` twice.
+fn depth_step(t: &Token, angles: bool) -> i64 {
+    if t.kind != TokKind::Op {
+        return 0;
+    }
+    match t.text.as_str() {
+        "(" | "[" | "{" => 1,
+        ")" | "]" | "}" => -1,
+        "<" if angles => 1,
+        ">" if angles => -1,
+        "<<" if angles => 2,
+        ">>" if angles => -2,
+        _ => 0,
+    }
+}
+
+/// Position of the first token in `toks[lo..hi]` at bracket depth 0
+/// for which `pred` holds.
+pub fn find_top(
+    toks: &[CodeTok<'_>],
+    lo: usize,
+    hi: usize,
+    pred: impl Fn(&Token) -> bool,
+) -> Option<usize> {
+    let mut depth = 0i64;
+    for (j, &(_, t)) in toks.iter().enumerate().take(hi).skip(lo) {
+        if depth == 0 && pred(t) {
+            return Some(j);
+        }
+        depth = (depth + depth_step(t, false)).max(0);
+    }
+    None
+}
+
+/// Splits `toks[lo..hi]` at its top-level `sep` operators (`,` in
+/// lists, `|` between pattern alternatives, `||`/`&&` in conditions)
+/// into `[start, end)` position ranges, dropping empty parts. Brackets
+/// nest (angles too when `angles` is set), and a closure's `|params|`
+/// at the start of a part is one group, so `fold(0, |acc, x| …)`
+/// splits in two.
+pub fn split_top(
+    toks: &[CodeTok<'_>],
+    lo: usize,
+    hi: usize,
+    sep: &str,
+    angles: bool,
+) -> Vec<(usize, usize)> {
+    let hi = hi.min(toks.len());
+    let mut spans = Vec::new();
+    let mut depth = 0i64;
+    let mut start = lo;
+    let mut part_open = true; // at the start of a part
+    let mut j = lo;
+    while j < hi {
+        let t = toks[j].1;
+        let step = depth_step(t, angles);
+        if step != 0 {
+            depth = (depth + step).max(0);
+            part_open &= step < 0;
+        } else if depth == 0 && t.is_op(sep) {
+            if j > start {
+                spans.push((start, j));
+            }
+            start = j + 1;
+            part_open = true;
+        } else if depth == 0 && t.is_op("|") && part_open {
+            // Closure parameter list: skip to the closing pipe.
+            j += 1;
+            while j < hi && !toks[j].1.is_op("|") {
+                j += 1;
+            }
+            part_open = false;
+        } else if !(t.is_ident("move") || t.is_op("||")) {
+            part_open = false;
+        }
+        j += 1;
+    }
+    if hi > start {
+        spans.push((start, hi));
+    }
+    spans
 }
 
 /// One pending line comment: its text and whether code preceded it.

@@ -14,6 +14,13 @@
 //! * free function: `crate::module::…::name`
 //! * method (inherent, trait impl, or trait default): `crate::Type::name`
 //!
+//! The same walk parses every item the later layers read more than
+//! once, so they share one parse: each function's parameters (name
+//! plus type-token span) and return-type span, and one field table for
+//! structs and tuple variants (name → type-token span). Spans are
+//! original token indices, resolved against a file's comment-free view
+//! with [`crate::scan::span`].
+//!
 //! The parser is a single forward walk with a scope stack keyed to brace
 //! depth; it is deliberately total — unparseable constructs degrade to
 //! "no symbol recorded", never to a crash, because the lint must never
@@ -22,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::{TokKind, Token};
-use crate::scan::{matching, span, CodeTok, ScannedFile};
+use crate::scan::{matching, split_top, CodeTok, ScannedFile};
 
 /// One function item (free function or method).
 #[derive(Clone, Debug)]
@@ -41,9 +48,6 @@ pub struct FnSym {
     pub file: usize,
     /// 1-based line of the `fn` name.
     pub line: usize,
-    /// Token index of the `fn` keyword, so the signature reads forwards
-    /// from here to the body's `{`.
-    pub fn_at: usize,
     /// Token-index range `[start, end)` of the body block, braces
     /// included; `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -53,14 +57,45 @@ pub struct FnSym {
     pub returns_result: bool,
     /// True for `pub` items (any visibility scope).
     pub is_pub: bool,
+    /// Declared parameters in order, `self` included.
+    pub params: Vec<Param>,
+    /// Original-index range of the return type after `->`, up to the
+    /// body (a `where` clause included); `None` without a `->`.
+    pub ret: Option<(usize, usize)>,
 }
 
-impl FnSym {
-    /// The signature's comment-free tokens in the file's `view`: from
-    /// the `fn` keyword up to the body's `{` (empty without a body).
-    pub fn signature<'v, 'a>(&self, view: &'v [CodeTok<'a>]) -> &'v [CodeTok<'a>] {
-        span(view, self.fn_at, self.body.map_or(self.fn_at, |(s, _)| s))
-    }
+/// One declared parameter of a function.
+#[derive(Clone, Debug)]
+pub struct Param {
+    /// Binding name: `self`, an identifier, or `_` for a pattern.
+    pub name: String,
+    /// Original-index range of the type tokens after the `:` (empty
+    /// when there is no `:`).
+    pub ty: (usize, usize),
+}
+
+/// One field of a struct or tuple variant.
+#[derive(Clone, Debug)]
+pub struct Field {
+    /// Field name; tuple fields are `0`, `1`, ….
+    pub name: String,
+    /// 1-based line of the field name (of its type for tuple fields).
+    pub line: usize,
+    /// Original-index range of the field's type tokens.
+    pub ty: (usize, usize),
+}
+
+/// A `struct` declaration or one tuple variant of an `enum`.
+#[derive(Clone, Debug)]
+pub struct Record {
+    /// `Name` for a struct, `Enum::Variant` for a variant.
+    pub name: String,
+    /// Index of the declaring file.
+    pub file: usize,
+    /// Original token index of the `struct`/`enum` keyword.
+    pub at: usize,
+    /// The fields in declaration order.
+    pub fields: Vec<Field>,
 }
 
 /// Per-file resolution context.
@@ -90,14 +125,20 @@ pub struct SymbolTable {
     pub methods_by_name: BTreeMap<String, Vec<usize>>,
     /// Methods by `(Type, name)`.
     pub methods_by_ty: BTreeMap<(String, String), Vec<usize>>,
+    /// Every struct with a `{ … }` or `( … )` body, in file order
+    /// (test regions and fn bodies included).
+    pub structs: Vec<Record>,
+    /// Every tuple variant (`Enum::Variant(…)`), in file order.
+    pub variants: Vec<Record>,
 }
 
 impl SymbolTable {
-    /// Builds the table from every scanned file.
-    pub fn build(files: &[ScannedFile]) -> SymbolTable {
+    /// Builds the table from every scanned file and its comment-free
+    /// view (`views[i]` belongs to `files[i]`).
+    pub fn build(files: &[ScannedFile], views: &[Vec<CodeTok<'_>>]) -> SymbolTable {
         let mut table = SymbolTable::default();
-        for (idx, file) in files.iter().enumerate() {
-            let scope = parse_file(&mut table, idx, file);
+        for (idx, (file, view)) in files.iter().zip(views).enumerate() {
+            let scope = parse_file(&mut table, idx, file, view);
             table.scopes.push(scope);
         }
         for (id, f) in table.fns.iter().enumerate() {
@@ -209,15 +250,20 @@ enum Pending {
     Fn { id: usize },
 }
 
-/// Walks one file's tokens, appending function symbols to `table`.
-fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> FileScope {
+/// Walks one file's tokens, appending function symbols and field
+/// records to `table`.
+fn parse_file(
+    table: &mut SymbolTable,
+    file_idx: usize,
+    file: &ScannedFile,
+    toks: &[CodeTok<'_>],
+) -> FileScope {
     let (krate, file_module) = crate_and_module(&file.rel);
     let mut scope = FileScope {
         krate: krate.clone(),
         module: file_module.clone(),
         uses: BTreeMap::new(),
     };
-    let toks = file.code_tokens();
 
     let mut stack: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;
@@ -229,6 +275,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
         let (orig, t) = toks[i];
         match t.kind {
             TokKind::Ident => match t.text.as_str() {
+                "struct" | "enum" => record_fields(table, file_idx, toks, i),
                 "mod" => {
                     if let Some((_, name)) =
                         toks.get(i + 1).filter(|(_, n)| n.kind == TokKind::Ident)
@@ -242,7 +289,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
                 // `impl Trait` inside a signature (`f: impl Fn(u64)`,
                 // `-> impl Iterator`) and must not steal the body.
                 "impl" if pending.is_none() => {
-                    if let Some(ty) = impl_self_type(&toks, i + 1) {
+                    if let Some(ty) = impl_self_type(toks, i + 1) {
                         pending = Some(Pending::SelfTy(ty));
                     }
                 }
@@ -255,7 +302,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
                     }
                 }
                 "use" => {
-                    i = parse_use(&mut scope, &toks, i);
+                    i = parse_use(&mut scope, toks, i);
                     item_start = i + 1;
                 }
                 "fn" => {
@@ -269,7 +316,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
                             &krate,
                             &file_module,
                             &stack,
-                            &toks,
+                            toks,
                             i,
                             name,
                             item_start,
@@ -320,7 +367,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
 /// Extracts the self type of an `impl` header starting right after the
 /// `impl` keyword: skips generics, honours `impl Trait for Type`, and
 /// takes the last path segment of the type at angle depth 0.
-fn impl_self_type(toks: &[(usize, &Token)], mut i: usize) -> Option<String> {
+fn impl_self_type(toks: &[CodeTok<'_>], mut i: usize) -> Option<String> {
     // Skip `<...>` generic parameters.
     if toks.get(i).is_some_and(|(_, t)| t.is_op("<")) {
         i = matching(toks, i).map_or(toks.len(), |close| close + 1);
@@ -383,7 +430,7 @@ fn record_fn(
     krate: &str,
     file_module: &[String],
     stack: &[Scope],
-    toks: &[(usize, &Token)],
+    toks: &[CodeTok<'_>],
     fn_at: usize,
     name: &Token,
     item_start: usize,
@@ -417,7 +464,8 @@ fn record_fn(
         }
         i += 1;
     }
-    toks.get(i)?; // ran off the file: unparseable, record nothing
+    let (end, _) = toks.get(i)?; // ran off the file: unparseable, record nothing
+    let (params, ret) = read_signature(&toks[fn_at..i], *end);
 
     // Enclosing inline modules and self type from the scope stack.
     let mut module = file_module.to_vec();
@@ -447,20 +495,185 @@ fn record_fn(
         module,
         file: file_idx,
         line: name.line,
-        fn_at: toks[fn_at].0,
         body: None, // filled in when the `{` is reached
         is_test: file.is_test_line(name.line),
         returns_result,
         is_pub,
+        params,
+        ret,
     });
     Some(id)
+}
+
+/// Original token index of view position `pos`, or one past the last
+/// token when `pos` runs off the end.
+fn orig(toks: &[CodeTok<'_>], pos: usize) -> usize {
+    match toks.get(pos) {
+        Some(&(o, _)) => o,
+        None => toks.last().map_or(0, |&(o, _)| o + 1),
+    }
+}
+
+/// Reads the parameters and return-type span of the signature `sig`
+/// (`fn name [<…>] ( … ) [-> …]`); `end` is the original index of the
+/// body's `{` (or the declaration's `;`). The list splits at commas
+/// outside any bracket or angle group, so `m: BTreeMap<K, V>` is one
+/// parameter.
+fn read_signature(sig: &[CodeTok<'_>], end: usize) -> (Vec<Param>, Option<(usize, usize)>) {
+    let mut open = 2; // past `fn name`
+    if sig.get(open).is_some_and(|(_, t)| t.is_op("<")) {
+        open = matching(sig, open).map_or(sig.len(), |c| c + 1);
+    }
+    if !sig.get(open).is_some_and(|(_, t)| t.is_op("(")) {
+        return (Vec::new(), None);
+    }
+    let close = matching(sig, open).unwrap_or(sig.len());
+    let params = split_top(sig, open + 1, close, ",", true)
+        .into_iter()
+        .map(|(s, e)| {
+            // `&`, `mut` and lifetimes before the binding (`&mut self`).
+            let k = s + sig[s..e]
+                .iter()
+                .take_while(|(_, t)| {
+                    t.is_op("&") || t.is_ident("mut") || t.kind == TokKind::Lifetime
+                })
+                .count();
+            let none = (orig(sig, e), orig(sig, e));
+            match sig
+                .get(k)
+                .filter(|&&(_, t)| k < e && t.kind == TokKind::Ident)
+            {
+                Some((_, name)) => Param {
+                    name: name.text.clone(),
+                    ty: match sig.get(k + 1) {
+                        Some((_, c)) if k + 1 < e && c.is_op(":") => (orig(sig, k + 2), none.1),
+                        _ => none,
+                    },
+                },
+                None => Param {
+                    name: "_".to_string(),
+                    ty: none,
+                },
+            }
+        })
+        .collect();
+    let arrow = sig.get(close + 1).filter(|(_, t)| t.is_op("->"));
+    let ret = arrow.map(|_| (orig(sig, close + 2).min(end), end));
+    (params, ret)
+}
+
+/// Records the fields of the `struct`, or the tuple variants of the
+/// `enum`, whose keyword sits at view position `at`. Generic
+/// parameters and a `where` clause are skipped; a unit struct records
+/// nothing.
+fn record_fields(table: &mut SymbolTable, file: usize, toks: &[CodeTok<'_>], at: usize) {
+    let Some(&(kw, keyword)) = toks.get(at) else {
+        return;
+    };
+    let Some((_, name)) = toks.get(at + 1).filter(|(_, t)| t.kind == TokKind::Ident) else {
+        return;
+    };
+    let mut open = at + 2;
+    if toks.get(open).is_some_and(|(_, t)| t.is_op("<")) {
+        open = matching(toks, open).map_or(toks.len(), |c| c + 1);
+    }
+    if toks.get(open).is_some_and(|(_, t)| t.is_ident("where")) {
+        while toks
+            .get(open)
+            .is_some_and(|(_, t)| !t.is_op("{") && !t.is_op(";"))
+        {
+            open += 1;
+        }
+    }
+    let Some(close) = matching(toks, open) else {
+        return; // `struct Name;` or an unterminated body
+    };
+    let record = |name: String, fields| Record {
+        name,
+        file,
+        at: kw,
+        fields,
+    };
+    let is_struct = keyword.is_ident("struct");
+    match toks[open].1.text.as_str() {
+        "(" if is_struct => {
+            let fields = tuple_fields(toks, open, close);
+            table.structs.push(record(name.text.clone(), fields));
+        }
+        "{" if is_struct => {
+            let mut fields = Vec::new();
+            for (s, e) in split_top(toks, open + 1, close, ",", true) {
+                let s = skip_field_prefix(toks, s, e);
+                match (toks.get(s), toks.get(s + 1)) {
+                    (Some((_, f)), Some((_, c)))
+                        if s + 1 < e && f.kind == TokKind::Ident && c.is_op(":") =>
+                    {
+                        fields.push(Field {
+                            name: f.text.clone(),
+                            line: f.line,
+                            ty: (orig(toks, s + 2), orig(toks, e)),
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            table.structs.push(record(name.text.clone(), fields));
+        }
+        "{" => {
+            for (s, e) in split_top(toks, open + 1, close, ",", true) {
+                let s = skip_field_prefix(toks, s, e);
+                match (toks.get(s), toks.get(s + 1)) {
+                    (Some((_, v)), Some((_, p)))
+                        if s + 1 < e && v.kind == TokKind::Ident && p.is_op("(") =>
+                    {
+                        let pc = matching(toks, s + 1).unwrap_or(e);
+                        let fields = tuple_fields(toks, s + 1, pc);
+                        let key = format!("{}::{}", name.text, v.text);
+                        table.variants.push(record(key, fields));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The fields `0`, `1`, … of the tuple body between `open` and `close`.
+fn tuple_fields(toks: &[CodeTok<'_>], open: usize, close: usize) -> Vec<Field> {
+    let parts = split_top(toks, open + 1, close, ",", true).into_iter();
+    parts
+        .enumerate()
+        .map(|(idx, (s, e))| {
+            let s = skip_field_prefix(toks, s, e);
+            Field {
+                name: idx.to_string(),
+                line: toks.get(s).map_or(0, |(_, t)| t.line),
+                ty: (orig(toks, s), orig(toks, e)),
+            }
+        })
+        .collect()
+}
+
+/// Skips a field's `#[…]` attributes and its `pub`/`pub(…)`.
+fn skip_field_prefix(toks: &[CodeTok<'_>], mut s: usize, e: usize) -> usize {
+    while s < e && toks[s].1.is_op("#") {
+        s = matching(toks, s + 1).map_or(e, |c| c + 1);
+    }
+    if s < e && toks[s].1.is_ident("pub") {
+        s += 1;
+        if s < e && toks[s].1.is_op("(") {
+            s = matching(toks, s).map_or(e, |c| c + 1);
+        }
+    }
+    s
 }
 
 /// Parses a `use` declaration starting at the `use` keyword; returns
 /// the index of its terminating `;` (or the last token). Fills
 /// `scope.uses` with alias → absolute path entries. Glob imports are
 /// ignored (nothing in the workspace depends on them for fn calls).
-fn parse_use(scope: &mut FileScope, toks: &[(usize, &Token)], use_at: usize) -> usize {
+fn parse_use(scope: &mut FileScope, toks: &[CodeTok<'_>], use_at: usize) -> usize {
     let mut end = use_at + 1;
     while let Some((_, t)) = toks.get(end) {
         if t.is_op(";") {
@@ -486,7 +699,7 @@ fn collect_use_tree(
     scope: &mut FileScope,
     krate: &str,
     module: &[String],
-    toks: &[(usize, &Token)],
+    toks: &[CodeTok<'_>],
     prefix: &[String],
 ) {
     let mut path: Vec<String> = prefix.to_vec();
@@ -515,8 +728,8 @@ fn collect_use_tree(
                     // Group: split the balanced interior on top commas.
                     let close = matching(toks, i).unwrap_or(toks.len().saturating_sub(1));
                     let inner = &toks[i + 1..close];
-                    for part in split_top_commas(inner) {
-                        collect_use_tree(scope, krate, module, part, &path);
+                    for (s, e) in split_top(inner, 0, inner.len(), ",", false) {
+                        collect_use_tree(scope, krate, module, &inner[s..e], &path);
                     }
                     i = close;
                     last_leaf = None;
@@ -579,35 +792,15 @@ fn record_use(
     scope.uses.insert(alias, path);
 }
 
-/// Splits a token slice on commas at brace depth 0.
-fn split_top_commas<'s, 't>(toks: &'s [(usize, &'t Token)]) -> Vec<&'s [(usize, &'t Token)]> {
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0usize;
-    for (j, (_, t)) in toks.iter().enumerate() {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            "," if depth == 0 => {
-                out.push(&toks[start..j]);
-                start = j + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&toks[start..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
+    use crate::scan::{code_views, scan};
     use std::path::PathBuf;
 
     fn table_of(rel: &str, src: &str) -> (SymbolTable, Vec<ScannedFile>) {
         let files = vec![scan(PathBuf::from(rel), rel.into(), src)];
-        (SymbolTable::build(&files), files)
+        (SymbolTable::build(&files, &code_views(&files)), files)
     }
 
     #[test]

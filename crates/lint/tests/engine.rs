@@ -553,6 +553,79 @@ fn fixture_reports_match_golden() {
     );
 }
 
+/// `src` with a `/* c */` block comment in front of every code token:
+/// nothing lands inside a string, comment or pragma, and no line moves.
+fn comment_every_token(src: &str) -> String {
+    let mut out = String::with_capacity(src.len() * 2);
+    let mut pos = 0;
+    for tok in lint::lexer::lex(src).iter().filter(|t| !t.is_comment()) {
+        out.push_str(&src[pos..tok.start]);
+        out.push_str("/* c */");
+        pos = tok.start;
+    }
+    out.push_str(&src[pos..]);
+    out
+}
+
+/// The semantic proofs read one comment-free token view, so a comment
+/// between any two tokens changes none of their findings: every R002–R006
+/// fixture (and both fixture sets) re-linted with a comment before every
+/// code token reports the same `(rule, path, line, message, chain)`
+/// tuples. Snippets are source lines and may differ.
+#[test]
+fn semantic_findings_ignore_comments_between_tokens() {
+    let dir = fixtures_dir();
+    let commented = Path::new(env!("CARGO_TARGET_TMPDIR")).join("commented_fixtures");
+    fs::create_dir_all(&commented).expect("scratch fixture dir");
+    let mut sets: Vec<Vec<String>> = FIXTURE_SETS
+        .iter()
+        .map(|set| set.iter().map(|n| n.to_string()).collect())
+        .collect();
+    let mut singles: Vec<String> = fs::read_dir(&dir)
+        .expect("fixtures dir lists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| {
+            ["r002", "r003", "r004", "r005", "r006"]
+                .iter()
+                .any(|r| n.starts_with(r))
+        })
+        .filter(|n| !sets.iter().flatten().any(|s| s == n))
+        .collect();
+    singles.sort();
+    sets.extend(singles.into_iter().map(|n| vec![n]));
+    let semantic = |root: &Path, set: &[String]| {
+        let paths: Vec<PathBuf> = set.iter().map(|n| root.join(n)).collect();
+        let report = lint_files(root, &paths, &Config::default(), &SeverityMap::default())
+            .expect("fixture set lints");
+        let tuples = report
+            .diagnostics
+            .into_iter()
+            .filter(|d| ["R002", "R003", "R004", "R005", "R006"].contains(&d.rule.as_str()));
+        tuples
+            .map(|d| (d.rule, d.rel, d.line, d.message, d.chain))
+            .collect::<Vec<_>>()
+    };
+    let mut compared = 0;
+    for set in &sets {
+        for name in set {
+            let src = fs::read_to_string(dir.join(name)).expect("fixture reads");
+            fs::write(commented.join(name), comment_every_token(&src)).expect("fixture copy");
+        }
+        let want = semantic(&dir, set);
+        assert_eq!(semantic(&commented, set), want, "{}", set.join(" + "));
+        compared += want.len();
+    }
+    assert!(
+        compared > 0,
+        "the fixtures carry semantic findings to compare"
+    );
+}
+
 // ------------------------------------------------------------- pragmas
 
 #[test]
